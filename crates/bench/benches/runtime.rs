@@ -1,6 +1,5 @@
 //! Criterion benches for the work-stealing runtime substrate: fork/join
-//! overhead at per-task granularity (the paper's `T1/Ts` overhead column)
-//! and the tentative-spawn primitive behind simplified restart.
+//! overhead at per-task granularity (the paper's `T1/Ts` overhead column).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tb_runtime::{ThreadPool, WorkerCtx};
@@ -33,25 +32,5 @@ fn join_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-fn tentative(c: &mut Criterion) {
-    let pool = ThreadPool::new(1);
-    c.bench_function("tentative_spawn_cancel", |b| {
-        b.iter(|| {
-            pool.install(|ctx| {
-                let mut acc = 0u64;
-                for i in 0..100u64 {
-                    let (body, resolved) = ctx.tentative_scope(i, |v, _| v, |_| i * 2);
-                    acc += body
-                        + match resolved {
-                            tb_runtime::Resolved::Cancelled(v) => v,
-                            tb_runtime::Resolved::Stolen(v) => v,
-                        };
-                }
-                acc
-            })
-        })
-    });
-}
-
-criterion_group!(benches, join_overhead, tentative);
+criterion_group!(benches, join_overhead);
 criterion_main!(benches);

@@ -53,9 +53,9 @@ fn main() {
                     .stats
                     .wall
                     .as_secs_f64();
-            // …and the §6 Cilk-embeddable simplification, whose restart-
-            // stack merges can pathologize on very deep trees (the h^2
-            // space/time limitation the paper documents).
+            // …and restart on the shared pool (sequential engines that
+            // split on demand), in the column the paper gives its §6
+            // Cilk-embeddable simplification.
             let rs = base
                 / b.blocked_par(&pool, restart, SchedulerKind::RestartSimplified, Tier::Simd)
                     .stats

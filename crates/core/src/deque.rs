@@ -279,6 +279,36 @@ impl<S: TaskStore> LeveledDeque<S> {
         None
     }
 
+    /// Split the shallowest half of the occupied levels (rounded up) off
+    /// into a deque of their own, each level moving whole — both its slots,
+    /// the §3.4 steal unit. Shallow levels root the largest pending
+    /// subtrees, so this is the Hendler–Shavit steal-half of a leveled
+    /// deque: the thief's share comes off the top, the owner keeps the
+    /// bottom it is working on. `None` when nothing is parked.
+    pub fn split_shallowest_half(&mut self) -> Option<Self> {
+        let occupied = self.levels.iter().filter(|s| !s.is_empty()).count();
+        if occupied == 0 {
+            return None;
+        }
+        let mut split = LeveledDeque::new();
+        let mut wanted = occupied.div_ceil(2);
+        for (level, slot) in self.levels.iter_mut().enumerate() {
+            if wanted == 0 {
+                break;
+            }
+            if slot.is_empty() {
+                continue;
+            }
+            wanted -= 1;
+            split.blocks += slot.blocks();
+            split.tasks += slot.tasks();
+            *split.slot_mut(level) = std::mem::take(slot);
+        }
+        self.blocks -= split.blocks;
+        self.tasks -= split.tasks;
+        Some(split)
+    }
+
     /// Iterate over `(level, slot)` pairs for inspection (tests, invariant
     /// checks, space accounting).
     pub fn iter_levels(&self) -> impl Iterator<Item = (usize, &LevelSlot<S>)> {

@@ -99,7 +99,7 @@ pub use stats::ExecStats;
 pub mod prelude {
     pub use crate::block::{TaskBlock, TaskStore};
     pub use crate::cancel::{CancelToken, Cancellable};
-    pub use crate::par::{ParAdaptive, ParReExpansion, ParRestartIdeal, ParRestartSimplified};
+    pub use crate::par::{ParAdaptive, ParReExpansion, ParRestart, ParRestartIdeal};
     pub use crate::policy::{GrainController, PolicyKind, SchedConfig};
     pub use crate::program::{merge_sum, BlockProgram, BucketSet, ProgramShape, RunOutput};
     pub use crate::scheduler::{

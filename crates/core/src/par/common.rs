@@ -1,6 +1,8 @@
 //! Shared plumbing for the pool-based parallel schedulers.
 
-use tb_runtime::{PerWorker, PoolMetrics, ThreadPool, WorkerCtx};
+use std::time::Instant;
+
+use tb_runtime::{PerWorker, ThreadPool, WorkerCtx};
 
 use crate::block::{TaskBlock, TaskStore};
 use crate::policy::{GrainController, SchedConfig};
@@ -93,12 +95,10 @@ impl<'e, P: BlockProgram> Env<'e, P> {
     }
 }
 
-/// Fold the per-worker reducers and stats into a single run output, and
-/// charge the pool's steal-counter delta to the stats.
+/// Fold the per-worker reducers and stats into a single run output.
 pub(crate) fn collect<P: BlockProgram>(
     prog: &P,
     state: PerWorker<WorkerState<P>>,
-    steal_delta: PoolMetrics,
 ) -> (P::Reducer, ExecStats) {
     let mut red = prog.make_reducer();
     let mut stats = ExecStats::default();
@@ -106,9 +106,15 @@ pub(crate) fn collect<P: BlockProgram>(
         prog.merge_reducers(&mut red, ws.red);
         stats.absorb(&ws.stats);
     }
-    stats.steal_attempts += steal_delta.steal_attempts;
-    stats.steals += steal_delta.steals;
     (red, stats)
+}
+
+/// Close a pool run's books: wall time since `start`, plus the pool-wide
+/// `(steal_attempts, steals)` delta between the two `steal_totals` reads.
+pub(crate) fn charge(stats: &mut ExecStats, start: Instant, before: (u64, u64), after: (u64, u64)) {
+    stats.wall = start.elapsed();
+    stats.steal_attempts += after.0.saturating_sub(before.0);
+    stats.steals += after.1.saturating_sub(before.1);
 }
 
 /// Recursively split an oversized block in half and run `leaf` on each
@@ -141,16 +147,13 @@ where
     B: for<'e> FnOnce(Env<'e, P>, &WorkerCtx<'_>) + Send,
 {
     let state = Env::make_state(prog, &cfg, pool.threads());
-    let before = pool.metrics();
-    let start = std::time::Instant::now();
+    let (before, start) = (pool.steal_totals(), Instant::now());
     pool.install(|ctx| {
         let env = Env { prog, cfg, state: &state };
         body(env, ctx);
     });
-    let wall = start.elapsed();
-    let delta = pool.metrics().since(&before);
-    let (red, mut stats) = collect(prog, state, delta);
-    stats.wall = wall;
+    let (red, mut stats) = collect(prog, state);
+    charge(&mut stats, start, before, pool.steal_totals());
     (red, stats)
 }
 
@@ -176,15 +179,10 @@ where
     B: for<'e> FnOnce(Env<'e, P>, &WorkerCtx<'_>),
 {
     let state = Env::make_state(prog, &cfg, ctx.num_workers());
-    let before =
-        PoolMetrics { steal_attempts: ctx.steal_attempts(), steals: ctx.steals(), ..Default::default() };
-    let start = std::time::Instant::now();
+    let (before, start) = (ctx.steal_totals(), Instant::now());
     let env = Env { prog, cfg, state: &state };
     body(env, ctx);
-    let wall = start.elapsed();
-    let after =
-        PoolMetrics { steal_attempts: ctx.steal_attempts(), steals: ctx.steals(), ..Default::default() };
-    let (red, mut stats) = collect(prog, state, after.since(&before));
-    stats.wall = wall;
+    let (red, mut stats) = collect(prog, state);
+    charge(&mut stats, start, before, ctx.steal_totals());
     (red, stats)
 }

@@ -5,11 +5,12 @@
 //! * [`ParReExpansion`] — blocked re-expansion as a Cilk program
 //!   (Fig. 3(a)): child blocks are forked with `join`, so idle workers steal
 //!   whole right-hand blocks.
-//! * [`ParRestartSimplified`] — the paper's actual restart implementation
-//!   (Fig. 3(c)): restart stacks are threaded through return values and
-//!   merged after each sync, with the *no-intervening-steal* optimisation
-//!   that passes a stack straight through when the forked sibling was never
-//!   stolen.
+//! * [`ParRestart`] — restart on the pool: each running piece is one
+//!   sequential restart engine over a private leveled deque, and a piece
+//!   splits the shallowest half of that deque off (a `join`) only when an
+//!   idle worker has nothing to take. With nobody hungry it runs at
+//!   sequential-engine cost. (It replaced the paper's Fig. 3(c) embedding,
+//!   which forked per block; see DESIGN.md §2.1.)
 //! * [`ParRestartIdeal`] — the §3.4 formulation the theory analyses:
 //!   dedicated workers, per-worker leveled deques, steals take the top block
 //!   of a random victim (possibly yourself), with a bounded BFE burst on
@@ -22,10 +23,10 @@
 mod adaptive;
 mod common;
 mod reexp;
+mod restart;
 mod restart_ideal;
-mod restart_simplified;
 
 pub use adaptive::ParAdaptive;
 pub use reexp::ParReExpansion;
+pub use restart::ParRestart;
 pub use restart_ideal::ParRestartIdeal;
-pub use restart_simplified::{ParRestartSimplified, RestartStack};

@@ -2,7 +2,7 @@
 //!
 //! The framework ships five scheduler implementations — the sequential
 //! engine ([`SeqScheduler`]) and four multicore schedulers
-//! ([`ParReExpansion`], [`ParRestartSimplified`], [`ParRestartIdeal`],
+//! ([`ParReExpansion`], [`ParRestart`], [`ParRestartIdeal`],
 //! [`ParAdaptive`]) —
 //! which historically exposed ad-hoc entry points (`run()`, `run(&pool)`,
 //! `run()` with a worker count baked in at construction). Everything that
@@ -27,7 +27,7 @@
 
 use tb_runtime::{ThreadPool, WorkerCtx};
 
-use crate::par::{ParAdaptive, ParReExpansion, ParRestartIdeal, ParRestartSimplified};
+use crate::par::{ParAdaptive, ParReExpansion, ParRestart, ParRestartIdeal};
 use crate::policy::{PolicyKind, SchedConfig};
 use crate::program::{BlockProgram, RunOutput};
 use crate::seq::SeqScheduler;
@@ -40,8 +40,10 @@ pub enum SchedulerKind {
     Seq,
     /// Fig. 3(a): blocked re-expansion on the work-stealing pool.
     ReExpansion,
-    /// Fig. 3(c): simplified restart on the work-stealing pool (the
-    /// implementation the paper evaluates as `restart`).
+    /// Restart on the work-stealing pool ([`ParRestart`]): sequential
+    /// restart engines that split only when a thief is hungry. The name is
+    /// the paper's (§6 evaluates its pool embedding as "simplified
+    /// restart"); the Fig. 3(c) fork-per-block mechanics are retired.
     RestartSimplified,
     /// §3.4: ideal restart on dedicated workers with stealable leveled
     /// deques (the formulation the theory analyses).
@@ -134,8 +136,8 @@ pub(crate) fn default_workers() -> usize {
 /// Run `prog` under `cfg` on the policy's canonical scheduler: the
 /// sequential engine when `pool` is `None`, the policy's multicore
 /// scheduler on `pool` otherwise (re-expansion for
-/// [`PolicyKind::Basic`]/[`PolicyKind::ReExpansion`], simplified restart
-/// for [`PolicyKind::Restart`]).
+/// [`PolicyKind::Basic`]/[`PolicyKind::ReExpansion`], split-on-demand
+/// restart for [`PolicyKind::Restart`]).
 ///
 /// This is the entry point benchmarks, harness binaries and examples
 /// should use; see [`run_scheduler`] when the choice between the two
@@ -205,9 +207,9 @@ pub fn run_policy<P: BlockProgram>(
 /// # Examples
 ///
 /// All four implementations agree on the reduction; the restart kinds
-/// additionally let you choose between the §6 Cilk-embeddable
-/// simplification and the §3.4 ideal scheduler (lock-free stealable
-/// leveled deques) the theory analyses:
+/// additionally let you choose between the pool-resident one (sequential
+/// engines that split on demand) and the §3.4 ideal scheduler (lock-free
+/// stealable leveled deques) the theory analyses:
 ///
 /// ```
 /// use tb_core::prelude::*;
@@ -247,7 +249,7 @@ pub fn run_scheduler<P: BlockProgram>(
     match kind {
         SchedulerKind::Seq => SeqScheduler::new(prog, cfg).run_with(pool),
         SchedulerKind::ReExpansion => ParReExpansion::new(prog, cfg).run_with(pool),
-        SchedulerKind::RestartSimplified => ParRestartSimplified::new(prog, cfg).run_with(pool),
+        SchedulerKind::RestartSimplified => ParRestart::new(prog, cfg).run_with(pool),
         SchedulerKind::RestartIdeal => {
             // Resolve the worker count here (not via default_workers()
             // unconditionally): with a pool supplied this stays syscall-free,
@@ -270,8 +272,10 @@ pub fn run_scheduler<P: BlockProgram>(
 /// Kind mapping from inside the pool:
 ///
 /// * [`SchedulerKind::Seq`] runs inline on this worker (it never forks);
-/// * [`SchedulerKind::ReExpansion`] / [`SchedulerKind::RestartSimplified`]
-///   run on the pool via the worker's own fork/join context;
+/// * [`SchedulerKind::ReExpansion`] / [`SchedulerKind::Adaptive`] run on
+///   the pool via the worker's own fork/join context;
+/// * [`SchedulerKind::RestartSimplified`] runs as a sequential engine on
+///   this worker and forks only when another worker is hungry;
 /// * [`SchedulerKind::RestartIdeal`] keeps its §3.4 semantics: it runs on
 ///   its *own dedicated threads* (sized to this pool), with the submitting
 ///   worker blocked driving them — correct, but it oversubscribes the
@@ -285,7 +289,7 @@ pub fn run_scheduler_on_ctx<P: BlockProgram>(
     match kind {
         SchedulerKind::Seq => SeqScheduler::new(prog, cfg).run(),
         SchedulerKind::ReExpansion => ParReExpansion::new(prog, cfg).run_on(ctx),
-        SchedulerKind::RestartSimplified => ParRestartSimplified::new(prog, cfg).run_on(ctx),
+        SchedulerKind::RestartSimplified => ParRestart::new(prog, cfg).run_on(ctx),
         SchedulerKind::RestartIdeal => ParRestartIdeal::new(prog, cfg, ctx.num_workers()).run(),
         SchedulerKind::Adaptive => ParAdaptive::new(prog, cfg).run_on(ctx),
     }
@@ -428,10 +432,10 @@ mod tests {
         let cfg = SchedConfig::restart(4, 32, 8);
         let seq = SeqScheduler::new(&prog, cfg);
         let reexp = ParReExpansion::new(&prog, cfg);
-        let simplified = ParRestartSimplified::new(&prog, cfg);
+        let restart = ParRestart::new(&prog, cfg);
         let ideal = ParRestartIdeal::new(&prog, cfg, 2);
         let adaptive = ParAdaptive::new(&prog, cfg);
-        let schedulers: [&dyn Scheduler<Fib>; 5] = [&seq, &reexp, &simplified, &ideal, &adaptive];
+        let schedulers: [&dyn Scheduler<Fib>; 5] = [&seq, &reexp, &restart, &ideal, &adaptive];
         let pool = ThreadPool::new(2);
         for s in schedulers {
             assert_eq!(s.run_with(Some(&pool)).reducer, 610, "{}", s.name());

@@ -222,6 +222,56 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
         }
     }
 
+    /// Split part of this run off as a frontier of its own, leaving the
+    /// engine running on the rest — a *partial* [`park`](SeqScheduler::park),
+    /// legal at the same seam (between [`SeqScheduler::step`]s, where the
+    /// spawn buckets are empty and no block is half-expanded). The caller
+    /// [`resume`](SeqScheduler::resume)s the frontier as a second engine,
+    /// typically on another worker, and merges the two reducers and
+    /// [`ExecStats`] when both finish: together they execute exactly the
+    /// tasks the unsplit run would have.
+    ///
+    /// What goes is the largest pending work: half of the unstripped root
+    /// remainder when there is one (each root task is a whole computation),
+    /// otherwise the shallowest half of the deque's levels
+    /// ([`LeveledDeque::split_shallowest_half`]). The current block always
+    /// stays. The split frontier starts with a fresh reducer and zeroed
+    /// statistics and inherits the policy latches, so it continues in the
+    /// regime the run was in (a warmed-up restart engine scans its new
+    /// deque instead of ramping up again). Returns `None` when only the
+    /// current block is left — nothing to split.
+    pub fn split_off(&mut self) -> Option<SeqFrontier<P::Store, P::Reducer>> {
+        debug_assert!(self.out.is_empty(), "spawn buckets drain every step; split found them non-empty");
+        let (deque, root_rest) = match &mut self.root_rest {
+            Some(rest) => {
+                let keep = rest.len() / 2;
+                let theirs = rest.split_off(keep);
+                if keep == 0 {
+                    self.root_rest = None;
+                }
+                (LeveledDeque::new(), Some(theirs))
+            }
+            None => (self.deque.split_shallowest_half()?, None),
+        };
+        if self.cfg.trace {
+            tb_obs::record(EventKind::Park, 0, deque.task_count() as u64);
+        }
+        Some(SeqFrontier {
+            cfg: self.cfg,
+            deque,
+            current: None,
+            mode: self.mode,
+            warmed: self.warmed,
+            bfe_forced: false,
+            bfe_burst: 0,
+            ctrl: self.ctrl.clone(),
+            root_rest,
+            red: self.prog.make_reducer(),
+            stats: ExecStats::new(self.cfg.q),
+            done: false,
+        })
+    }
+
     /// Has [`SeqScheduler::step`] reported `Done`?
     pub fn is_done(&self) -> bool {
         self.done
@@ -395,6 +445,21 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
             return self.acquire();
         }
         let level = cur.level;
+        // No block runs at two strips' size or more. With three or more
+        // spawn sites the sibling buckets merged into one DFE leftover
+        // hand back `(arity - 1) x` the block that made them, and running
+        // that whole multiplies the next level's leftover again — the
+        // deque then grows geometrically with depth. Strip-mine such a
+        // block like an oversized root (§5.3): run its last `t_dfe` tasks
+        // (taking the tail copies only the strip), park the rest here.
+        // Below `2 x t_dfe` a block runs whole, so no strip leaves a
+        // sliver behind.
+        if cur.len() >= 2 * self.cfg.t_dfe {
+            let strip = cur.store.split_off(cur.len() - self.cfg.t_dfe);
+            if self.deque.push_dfe(std::mem::replace(&mut cur, TaskBlock::new(level, strip))) {
+                self.stats.merges += 1;
+            }
+        }
         let tasks = cur.len();
         let event = match self.decide(tasks) {
             Action::Bfe => {

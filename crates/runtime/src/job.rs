@@ -9,7 +9,7 @@
 //! Whoever creates a `JobRef` must keep the pointee alive until the job's
 //! latch is set (or the owner physically removes the ref from its own deque,
 //! at which point no thief can ever observe it). All owners in this crate
-//! are blocking primitives ([`WorkerCtx::join`], `tentative_scope`,
+//! are blocking primitives ([`WorkerCtx::join`],
 //! [`ThreadPool::install`]) that do not return before one of those two
 //! things has happened.
 //!

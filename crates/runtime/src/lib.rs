@@ -16,11 +16,10 @@
 //! * [`WorkerCtx::join`] — Cilk's `spawn`/`sync` pair at its most common:
 //!   fork two closures, run the first inline, expose the second for
 //!   stealing, and steal-while-waiting until both are done.
-//! * [`WorkerCtx::tentative_scope`] — a spawn that can be *cancelled and
-//!   re-issued with different input* if no thief claimed it. This is the
-//!   "test whether a steal immediately preceded the given spawn" check that
-//!   the paper's simplified-restart strategy (§6) uses to skip restart-stack
-//!   merges on the serial fast path.
+//! * [`WorkerCtx::thief_hungry`] — the demand signal for serial-by-default
+//!   work: "some worker is idle and has nothing to take". Schedulers that
+//!   run privately and split only on demand (`tb-core`'s pool restart) poll
+//!   it between supersteps.
 //! * [`PerWorker`] — per-worker mutable slots (reducers, scratch buffets)
 //!   indexed by worker id, merged after the parallel phase.
 //!
@@ -37,13 +36,11 @@ mod latch;
 mod metrics;
 mod per_worker;
 mod pool;
-mod tentative;
 
 pub use injector::InjectorMetrics;
 pub use metrics::PoolMetrics;
 pub use per_worker::PerWorker;
 pub use pool::{PoolLoad, ThreadPool, WorkerCtx};
-pub use tentative::Resolved;
 
 #[cfg(test)]
 mod tests {

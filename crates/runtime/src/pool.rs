@@ -66,6 +66,13 @@ pub(crate) struct Shared {
     /// thread), so this one is a real `fetch_add` — but it sits on the
     /// submission path, not the worker hot path.
     injector_pushes: AtomicU64,
+    /// Workers currently without a job: between a fruitless steal sweep
+    /// and the next job they find (spinning, yielding or parked). Written
+    /// only on those two transitions, polled every superstep by workers
+    /// running split-on-demand schedulers ([`WorkerCtx::thief_hungry`]) —
+    /// hence its own cache line. Advisory: it publishes no data, so every
+    /// access is Relaxed.
+    idle_workers: CachePadded<AtomicUsize>,
     sleep_mutex: Mutex<()>,
     sleep_cv: Condvar,
     sleepers: AtomicUsize,
@@ -85,6 +92,15 @@ impl Shared {
             let _g = self.sleep_mutex.lock();
             self.sleep_cv.notify_all();
         }
+    }
+
+    /// Pool-wide `(steal_attempts, steals)` summed straight off the
+    /// per-worker counter lines — the allocation-free read the in-pool
+    /// scheduler drivers take twice per job.
+    fn steal_totals(&self) -> (u64, u64) {
+        self.counters.iter().fold((0, 0), |(attempts, steals), c| {
+            (attempts + c.attempts.load(Ordering::Relaxed), steals + c.steals.load(Ordering::Relaxed))
+        })
     }
 
     /// Merge the per-worker counters into one snapshot. Monotone counters
@@ -129,6 +145,7 @@ impl ThreadPool {
             stealers,
             counters: (0..threads).map(|_| CachePadded::new(StealCounters::default())).collect(),
             injector_pushes: AtomicU64::new(0),
+            idle_workers: CachePadded::new(AtomicUsize::new(0)),
             sleep_mutex: Mutex::new(()),
             sleep_cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
@@ -210,6 +227,12 @@ impl ThreadPool {
         self.shared.merged_metrics()
     }
 
+    /// Pool-wide `(steal_attempts, steals)`: the two totals of
+    /// [`ThreadPool::metrics`] without building the per-worker breakdown.
+    pub fn steal_totals(&self) -> (u64, u64) {
+        self.shared.steal_totals()
+    }
+
     /// A point-in-time load probe of this pool, cheap enough to call on
     /// every placement decision: the injector depth (queued, unclaimed
     /// jobs) and the number of workers currently awake. Both readings are
@@ -272,22 +295,36 @@ impl<'a> WorkerCtx<'a> {
         self.shared.stealers.len()
     }
 
-    /// Steal attempts recorded so far (pool-wide, merged snapshot).
-    pub fn steal_attempts(&self) -> u64 {
-        self.shared.merged_metrics().steal_attempts
+    /// Pool-wide `(steal_attempts, steals)` recorded so far, without
+    /// allocating (unlike [`ThreadPool::metrics`]).
+    ///
+    /// The counters are monotone but written with Relaxed stores, so a
+    /// snapshot is a conservative lower bound: a *differing* pair proves a
+    /// steal happened, while an *equal* pair does not prove the absence of
+    /// one (a just-completed steal's bump may not be visible yet). Use it
+    /// for statistics only.
+    pub fn steal_totals(&self) -> (u64, u64) {
+        self.shared.steal_totals()
     }
 
-    /// Successful steals recorded so far (pool-wide, merged snapshot).
+    /// Is some worker idle with nothing to take? True when at least one
+    /// worker is between jobs, the injector is empty (an idle worker drains
+    /// it first) and this worker's own deque is empty (anything already
+    /// published there is what the idle worker will find next). Three
+    /// Relaxed loads; the first — a line written only when a worker runs
+    /// dry or finds work again — settles the common "nobody is hungry"
+    /// case.
     ///
-    /// The counters are monotone but written with Relaxed stores, so this
-    /// is a conservative lower bound: a *differing* pair of snapshots
-    /// proves a steal happened, while an *equal* pair does not prove the
-    /// absence of one (a just-completed steal's bump may not be visible
-    /// yet). Use it for statistics; the authoritative "did a thief claim
-    /// this specific job?" signal is the tentative-job latch
-    /// ([`WorkerCtx::tentative_scope`]).
-    pub fn steals(&self) -> u64 {
-        self.shared.merged_metrics().steals
+    /// This is the demand signal for serial-by-default work that creates
+    /// tasks only when a thief wants them: poll it at a point where the
+    /// computation can be split, and fork (via [`WorkerCtx::join`]) only
+    /// on `true`. It never fires on a one-worker pool — there is no other
+    /// worker to be idle — and not while queued jobs keep the others fed.
+    #[inline]
+    pub fn thief_hungry(&self) -> bool {
+        self.shared.idle_workers.load(Ordering::Relaxed) > 0
+            && self.shared.injector.is_empty()
+            && self.local.is_empty()
     }
 
     /// This worker's local-deque steal epoch: how many jobs thieves have
@@ -398,6 +435,7 @@ impl<'a> WorkerCtx<'a> {
         let mut spins = 0u32;
         while !latch.probe() {
             let job = self.pop_job().or_else(|| self.try_steal());
+            self.note_idle(spins, job.is_some());
             match job {
                 Some(job) => {
                     // SAFETY: freshly popped/stolen refs are executed once.
@@ -413,6 +451,25 @@ impl<'a> WorkerCtx<'a> {
                     }
                 }
             }
+        }
+        self.note_idle(spins, true);
+    }
+
+    /// Keep [`Shared::idle_workers`] in step with this worker's search
+    /// loop: `fruitless` is how many consecutive sweeps had already failed
+    /// before this one, `found` whether this one ended the dry spell (a
+    /// job, or the awaited latch). Only the two transitions touch the
+    /// shared line.
+    #[inline]
+    fn note_idle(&self, fruitless: u32, found: bool) {
+        match (fruitless, found) {
+            (0, false) => {
+                self.shared.idle_workers.fetch_add(1, Ordering::Relaxed);
+            }
+            (1.., true) => {
+                self.shared.idle_workers.fetch_sub(1, Ordering::Relaxed);
+            }
+            _ => {}
         }
     }
 
@@ -477,6 +534,7 @@ fn worker_loop(shared: &Shared, index: usize, local: Worker<JobRef>) {
     let mut idle_sweeps = 0u32;
     loop {
         let job = ctx.pop_job().or_else(|| ctx.try_steal());
+        ctx.note_idle(idle_sweeps, job.is_some());
         if let Some(job) = job {
             // SAFETY: popped/stolen refs are executed once.
             unsafe { ctx.execute(job) };

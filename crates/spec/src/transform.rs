@@ -172,7 +172,7 @@ mod tests {
         let want = interpret(&examples::binomial_spec(), &[18, 7]);
         let prog = BlockedSpec::new(examples::binomial_spec(), vec![18, 7]).unwrap();
         let pool = tb_runtime::ThreadPool::new(3);
-        let out = ParRestartSimplified::new(&prog, SchedConfig::restart(8, 256, 64)).run(&pool);
+        let out = ParRestart::new(&prog, SchedConfig::restart(8, 256, 64)).run(&pool);
         assert_eq!(out.reducer, want);
         let out = ParReExpansion::new(&prog, SchedConfig::reexpansion(8, 256)).run(&pool);
         assert_eq!(out.reducer, want);

@@ -27,11 +27,11 @@ fn main() {
 
     let workers = std::thread::available_parallelism().map_or(2, usize::from);
     let pool = ThreadPool::new(workers);
-    println!("{:<26} {:>10} {:>10} {:>9} {:>8}", "scheduler", "wall", "util%", "restarts", "steals");
+    println!("{:<30} {:>10} {:>10} {:>9} {:>8}", "scheduler", "wall", "util%", "restarts", "steals");
     for (name, kind, cfg) in [
         ("par re-expansion", SchedulerKind::ReExpansion, SchedConfig::reexpansion(4, 1 << 11)),
         (
-            "par restart (simplified)",
+            "par restart (split on demand)",
             SchedulerKind::RestartSimplified,
             SchedConfig::restart(4, 1 << 11, 1 << 8),
         ),
@@ -40,7 +40,7 @@ fn main() {
         let out = u.blocked_par(&pool, cfg, kind, Tier::Block);
         assert_eq!(out.outcome, serial.outcome, "{name}");
         println!(
-            "{:<26} {:>10} {:>10.1} {:>9} {:>8}",
+            "{:<30} {:>10} {:>10.1} {:>9} {:>8}",
             name,
             format!("{:?}", out.stats.wall),
             out.stats.simd_utilization() * 100.0,

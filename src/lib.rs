@@ -13,8 +13,8 @@
 //!   framework, sequential and work-stealing schedulers, machine-model
 //!   statistics;
 //! * [`runtime`] (`tb-runtime`) — the Cilk-style child-stealing runtime
-//!   (`join`, tentative spawns, per-worker state, the segmented unbounded
-//!   injector);
+//!   (`join`, the hungry-thief signal, per-worker state, the segmented
+//!   unbounded injector);
 //! * [`service`] (`tb-service`) — the persistent multi-tenant front-end:
 //!   one shared pool, job handles, bulk submission, backpressure;
 //! * [`simd`] (`tb-simd`) — portable lanes, struct-of-arrays stores,

@@ -1,6 +1,8 @@
 //! Shared test-only generator for random *valid, terminating* spec
-//! programs, used by the differential suite (`spec_differential.rs`) and
-//! the preemption round-trip suite (`preempt_equiv.rs`).
+//! programs, used by the differential suite (`spec_differential.rs`), the
+//! preemption round-trip suite (`preempt_equiv.rs`) and the split suite
+//! (`restart_split.rs`) — plus the [`KeepThievesHungry`] plug the split
+//! tests wrap programs in.
 //!
 //! Termination of generated specs is by construction: parameter 0 is
 //! *fuel* — every spawn passes `p0 - d` with `d >= 1` as argument 0, and
@@ -10,9 +12,15 @@
 
 #![allow(dead_code)] // each test crate uses its own subset
 
-// `tb_spec` (not `taskblocks::spec`) so this module also compiles when
-// included from `crates/service/tests/*` via `#[path]` — tb-service
-// depends on tb-spec but not on the root crate.
+use std::collections::HashSet;
+use std::sync::Mutex;
+use std::thread::ThreadId;
+use std::time::Duration;
+
+// `tb_core` / `tb_spec` (not `taskblocks::*`) so this module also compiles
+// when included from `crates/service/tests/*` via `#[path]` — tb-service
+// depends on both but not on the root crate.
+use tb_core::{BlockProgram, BucketSet};
 use tb_spec::{Expr, RecursiveSpec, Stmt};
 
 /// A splitmix64 stream: all structural choices derive from one drawn seed,
@@ -180,4 +188,56 @@ pub fn spec_source(spec: &RecursiveSpec) -> String {
         block_source(&spec.base, &spec.name),
         block_source(&spec.inductive, &spec.name),
     )
+}
+
+/// The plug: runs `inner` unchanged but notes which threads execute its
+/// blocks, and dawdles while only one has — so the job is still running
+/// when the pool's other workers have gone idle and asked for work.
+pub struct KeepThievesHungry<P> {
+    inner: P,
+    seen: Mutex<HashSet<ThreadId>>,
+}
+
+impl<P> KeepThievesHungry<P> {
+    pub fn new(inner: P) -> Self {
+        KeepThievesHungry { inner, seen: Mutex::new(HashSet::new()) }
+    }
+
+    /// How many distinct threads have executed a block so far.
+    pub fn threads_seen(&self) -> usize {
+        self.seen.lock().expect("no expand panics while holding the set").len()
+    }
+}
+
+impl<P: BlockProgram> BlockProgram for KeepThievesHungry<P> {
+    type Store = P::Store;
+    type Reducer = P::Reducer;
+
+    fn arity(&self) -> usize {
+        self.inner.arity()
+    }
+
+    fn make_root(&self) -> P::Store {
+        self.inner.make_root()
+    }
+
+    fn make_reducer(&self) -> P::Reducer {
+        self.inner.make_reducer()
+    }
+
+    fn merge_reducers(&self, a: &mut P::Reducer, b: P::Reducer) {
+        self.inner.merge_reducers(a, b);
+    }
+
+    fn expand(&self, block: &mut P::Store, out: &mut BucketSet<P::Store>, red: &mut P::Reducer) {
+        let alone = {
+            let mut seen = self.seen.lock().expect("no expand panics while holding the set");
+            seen.insert(std::thread::current().id());
+            seen.len() < 2
+        };
+        if alone {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        self.inner.expand(block, out, red);
+    }
 }

@@ -1,5 +1,5 @@
 //! Stress tests for the work-stealing runtime substrate: deep nesting,
-//! wide fan-out, repeated pool churn, tentative-spawn storms, and — since
+//! wide fan-out, repeated pool churn, split-on-demand storms, and — since
 //! PR 2 — randomized owner-vs-thieves torture of the lock-free deques
 //! (the Chase–Lev job deque and the shared leveled block deque). These
 //! are the conditions Cilk's THE protocol is hardened against; ours must
@@ -18,7 +18,6 @@ use taskblocks::core::{SharedLeveledDeque, TaskBlock};
 use taskblocks::prelude::*;
 use taskblocks::runtime::deque::{Steal, Worker};
 use taskblocks::runtime::injector::Injector;
-use taskblocks::runtime::Resolved;
 
 #[test]
 fn deeply_nested_joins_do_not_deadlock() {
@@ -63,24 +62,30 @@ fn pool_churn_does_not_leak_or_wedge() {
 }
 
 #[test]
-fn tentative_storms_resolve_every_spawn_exactly_once() {
-    let pool = ThreadPool::new(4);
-    let total: u64 = pool.install(|ctx| {
-        fn storm(ctx: &WorkerCtx<'_>, depth: u32) -> u64 {
-            if depth == 0 {
-                return 1;
-            }
-            let (body, resolved) =
-                ctx.tentative_scope(depth, |d, c| storm(c, d - 1), |c| storm(c, depth - 1));
-            body + match resolved {
-                Resolved::Cancelled(d) => storm(ctx, d - 1),
-                Resolved::Stolen(r) => r,
+fn split_storms_conserve_every_token() {
+    // The fork shape of the pool restart scheduler: an owner works through
+    // a pile it holds by value and, when a thief is hungry (and every
+    // eighth token regardless, so the storm rages even on a busy pool),
+    // splits half of it off as the owned input of a joined sibling.
+    fn storm(ctx: &WorkerCtx<'_>, mut pile: Vec<u64>) -> (u64, u64) {
+        let (mut count, mut sum) = (0u64, 0u64);
+        while let Some(token) = pile.pop() {
+            count += 1;
+            sum += token;
+            if pile.len() >= 2 && (ctx.thief_hungry() || count % 8 == 0) {
+                let theirs = pile.split_off(pile.len() / 2);
+                let ((ac, asum), (bc, bsum)) = ctx.join(move |c| storm(c, pile), move |c| storm(c, theirs));
+                return (count + ac + bc, sum + asum + bsum);
             }
         }
-        storm(ctx, 12)
-    });
-    // Perfect binary recursion of depth 12 over both branches.
-    assert_eq!(total, 1 << 12);
+        (count, sum)
+    }
+    let pool = ThreadPool::new(4);
+    let n = 1u64 << 12;
+    let (count, sum) = pool.install(|ctx| storm(ctx, (1..=n).collect()));
+    // Every token consumed exactly once, whichever side of a split ran it.
+    assert_eq!(count, n);
+    assert_eq!(sum, n * (n + 1) / 2);
 }
 
 #[test]

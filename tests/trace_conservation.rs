@@ -30,13 +30,20 @@
 //!   steals the worker never got around to observing make this `<=`, not
 //!   `==`). And on one worker there are no thieves at all, so a run must
 //!   record zero `GrainReset` events.
+//! * split-on-demand restart: every `SeqScheduler::split_off` records one
+//!   engine-level `Park` and the second engine's `resume` one `Resume`, so
+//!   the two counts are equal (and non-zero once thieves are kept hungry);
+//!   the pool and superstep equalities above hold across the splits.
 //! * service: the `Park` job-id multiset equals the `Resume` job-id
 //!   multiset at quiescence (every parked frontier resumed), and
 //!   `count(Admit)` equals the summed per-tenant `admissions` counter.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use common::KeepThievesHungry;
 use taskblocks::prelude::*;
 use tb_obs::{EventKind, Track};
 use tb_service::TenantSpec;
@@ -233,6 +240,28 @@ fn traced_runs_reconcile_with_scheduler_counters() {
         "one worker has no thieves — the grain must never reset"
     );
     drop(pool);
+
+    // ---- Phase B3: split-on-demand restart, split accounting ------------
+    for workers in [2usize, 4] {
+        let pool = ThreadPool::new(workers);
+        let plug = KeepThievesHungry::new(Fib(22));
+        let before = pool.metrics();
+        let _ = tb_obs::drain_all();
+        let out = run_scheduler(SchedulerKind::RestartSimplified, &plug, cfg, Some(&pool));
+        assert_eq!(out.reducer, 17_711);
+        let tracks = tb_obs::drain_all();
+        let delta = pool.metrics().since(&before);
+        assert_eq!(sum_args(&tracks, EventKind::Superstep), out.stats.tasks_executed);
+        let splits = count(&tracks, EventKind::Park);
+        assert!(splits >= 1, "{workers} workers sat hungry and the job never split");
+        assert_eq!(splits, count(&tracks, EventKind::Resume), "every split frontier was resumed once");
+        assert_eq!(
+            count(&tracks, EventKind::StealHit) + count(&tracks, EventKind::InjectorPop),
+            delta.steals,
+            "splits go through join: every stolen one is a StealHit like any other job"
+        );
+        assert!(plug.threads_seen() >= 2, "a split was stolen and run by a second worker");
+    }
 
     // ---- Phase C: service admission, park/resume pairing ---------------
     let _ = tb_obs::drain_all();
