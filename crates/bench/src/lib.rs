@@ -9,10 +9,12 @@
 //! | `fig4` | SIMD utilization vs block size | Figure 4 |
 //! | `fig5` | speedup vs workers at block size 2⁵ | Figure 5 |
 //! | `theory` | measured-vs-bound step counts (Theorems 1–4) | §4 |
+//! | `sweep` | the block-size search behind Table 1's "Block size" column | Table 1 |
 //!
-//! Every binary takes `--scale tiny|small|paper` (default `small`),
-//! `--workers N` (default: the paper's 16), and writes both an aligned
-//! text table to stdout and a CSV under `results/`.
+//! plus `trace`, which exports one traced run for Perfetto (see
+//! [`trace_check`]). Every paper binary takes `--scale tiny|small|paper`
+//! (default `small`), `--workers N` (default: the paper's 16), and writes
+//! both an aligned text table to stdout and a CSV under `results/`.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -20,7 +22,6 @@ use std::path::PathBuf;
 use tb_suite::Scale;
 
 pub mod trace_check;
-pub mod traj;
 
 /// Common command-line arguments for the harness binaries.
 #[derive(Debug, Clone)]
@@ -52,44 +53,48 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parse from `std::env::args` (ignores unknown flags so binaries can
-    /// add their own).
+    /// One-line usage, printed after a parse error.
+    pub const USAGE: &'static str =
+        "usage: [--scale tiny|small|paper] [--workers N] [--out DIR] [--only a,b] [--q N]";
+
+    /// Parse from `std::env::args`; on a bad value print the error and
+    /// [`HarnessArgs::USAGE`] to stderr and exit with status 2.
     pub fn parse() -> Self {
-        let mut args = HarnessArgs::default();
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            match argv[i].as_str() {
+        Self::try_parse(&argv).unwrap_or_else(|e| {
+            eprintln!("{e}\n{}", Self::USAGE);
+            std::process::exit(2);
+        })
+    }
+
+    /// Parse `argv` (program name already stripped). Unknown flags are
+    /// ignored so binaries can add their own; a known flag with a missing
+    /// or malformed value is an error.
+    pub fn try_parse(argv: &[String]) -> Result<Self, String> {
+        fn number(flag: &str, v: &str) -> Result<usize, String> {
+            v.parse().map_err(|_| format!("{flag} takes a non-negative integer, got {v:?}"))
+        }
+        let mut args = HarnessArgs::default();
+        let mut it = argv.iter();
+        while let Some(flag) = it.next() {
+            let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
                 "--scale" => {
-                    i += 1;
-                    args.scale = match argv.get(i).map(String::as_str) {
-                        Some("tiny") => Scale::Tiny,
-                        Some("small") => Scale::Small,
-                        Some("paper") => Scale::Paper,
-                        other => panic!("unknown scale {other:?} (use tiny|small|paper)"),
+                    args.scale = match value()?.as_str() {
+                        "tiny" => Scale::Tiny,
+                        "small" => Scale::Small,
+                        "paper" => Scale::Paper,
+                        other => return Err(format!("unknown scale {other:?} (use tiny|small|paper)")),
                     };
                 }
-                "--workers" => {
-                    i += 1;
-                    args.workers = argv[i].parse().expect("--workers N");
-                }
-                "--out" => {
-                    i += 1;
-                    args.out_dir = PathBuf::from(&argv[i]);
-                }
-                "--only" => {
-                    i += 1;
-                    args.only = argv[i].split(',').map(str::to_string).collect();
-                }
-                "--q" => {
-                    i += 1;
-                    args.q = Some(argv[i].parse().expect("--q N"));
-                }
+                "--workers" => args.workers = number(flag, value()?)?,
+                "--out" => args.out_dir = PathBuf::from(value()?),
+                "--only" => args.only = value()?.split(',').map(str::to_string).collect(),
+                "--q" => args.q = Some(number(flag, value()?)?),
                 _ => {}
             }
-            i += 1;
         }
-        args
+        Ok(args)
     }
 
     /// Does `name` pass the `--only` filter?
@@ -104,9 +109,6 @@ impl HarnessArgs {
     /// the ROADMAP's SIMD-width autodetection. The scaling preserves the
     /// per-element-width ratios of the Table 1 caption: a `char` benchmark
     /// stays 4× wider than an `int` one at every ISA.
-    ///
-    /// The `trajectory`/`service` pinned grid deliberately bypasses this
-    /// (fixed thresholds keep `BENCH_*.json` comparable across hosts).
     pub fn bench_q(&self, table1_q: usize) -> usize {
         self.q.unwrap_or_else(|| table1_q * (tb_simd::detected_vector_bits() / 128).max(1))
     }
@@ -250,6 +252,30 @@ pub fn ratio(a: f64, b: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn try_parse(line: &str) -> Result<HarnessArgs, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        HarnessArgs::try_parse(&argv)
+    }
+
+    #[test]
+    fn try_parse_reads_known_flags_and_skips_unknown_ones() {
+        let a = try_parse("--scale tiny --smoke --workers 3 --only fib,uts --q 8 --out /tmp/x").unwrap();
+        assert!(matches!(a.scale, Scale::Tiny));
+        assert_eq!((a.workers, a.q), (3, Some(8)));
+        assert_eq!(a.only, ["fib", "uts"]);
+        assert_eq!(a.out_dir, PathBuf::from("/tmp/x"));
+    }
+
+    #[test]
+    fn try_parse_reports_bad_values_instead_of_panicking() {
+        let err = |line| try_parse(line).unwrap_err();
+        assert!(err("--scale bogus").contains("unknown scale \"bogus\""));
+        assert!(err("--workers abc").contains("--workers takes a non-negative integer"));
+        assert!(err("--q -1").contains("--q takes"));
+        assert!(err("--only fib --out").contains("--out needs a value"));
+        assert!(err("--scale").contains("--scale needs a value"));
+    }
 
     #[test]
     fn geomean_basics() {

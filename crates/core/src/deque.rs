@@ -14,7 +14,7 @@
 //! Two implementations live here:
 //!
 //! * [`LeveledDeque`] — the plain single-threaded structure used by the
-//!   sequential engine (and by tests as the semantic reference);
+//!   sequential engine;
 //! * [`SharedLeveledDeque`] — the lock-free concurrent variant backing
 //!   [`ParRestartIdeal`](crate::par::ParRestartIdeal) since PR 2: each
 //!   level is an `AtomicPtr` to its heap-allocated slot pair, the owning
@@ -223,62 +223,6 @@ impl<S: TaskStore> LeveledDeque<S> {
         }
     }
 
-    /// The parallel variant of the restart scan (§3.4): like
-    /// [`LeveledDeque::find_restart`] it walks bottom-up merging each
-    /// level's slots, but on failure it leaves everything parked and
-    /// returns `None` — the parallel worker then *steals* instead of
-    /// executing its own top block.
-    pub fn find_restart_full(&mut self, t_restart: usize, merges: &mut u64) -> Option<TaskBlock<S>> {
-        for level in (0..self.levels.len()).rev() {
-            let slot = &mut self.levels[level];
-            if slot.is_empty() {
-                continue;
-            }
-            if let Some(mut d) = slot.dfe.take() {
-                match &mut slot.restart {
-                    Some(r) => {
-                        r.append(&mut d);
-                        self.blocks -= 1;
-                        *merges += 1;
-                    }
-                    none => *none = Some(d),
-                }
-            }
-            let len = slot.restart.as_ref().map_or(0, TaskStore::len);
-            if len >= t_restart {
-                let store = slot.restart.take().expect("nonempty level");
-                self.blocks -= 1;
-                self.tasks -= store.len();
-                return Some(TaskBlock::new(level, store));
-            }
-        }
-        None
-    }
-
-    /// Remove the shallowest parked block (either slot; the DFE slot is
-    /// preferred if both are occupied and at least `prefer_at_least` tasks
-    /// large). This is the steal target of §3.4: "the top of the victim's
-    /// deque contains one or two blocks".
-    pub fn steal_top(&mut self, prefer_at_least: usize) -> Option<TaskBlock<S>> {
-        for level in 0..self.levels.len() {
-            let slot = &mut self.levels[level];
-            if slot.is_empty() {
-                continue;
-            }
-            let dfe_len = slot.dfe.as_ref().map_or(0, TaskStore::len);
-            let restart_len = slot.restart.as_ref().map_or(0, TaskStore::len);
-            let store = if dfe_len >= prefer_at_least || dfe_len >= restart_len {
-                slot.dfe.take().unwrap_or_else(|| slot.restart.take().expect("nonempty"))
-            } else {
-                slot.restart.take().unwrap_or_else(|| slot.dfe.take().expect("nonempty"))
-            };
-            self.blocks -= 1;
-            self.tasks -= store.len();
-            return Some(TaskBlock::new(level, store));
-        }
-        None
-    }
-
     /// Split the shallowest half of the occupied levels (rounded up) off
     /// into a deque of their own, each level moving whole — both its slots,
     /// the §3.4 steal unit. Shallow levels root the largest pending
@@ -416,28 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_takes_shallowest() {
-        let mut d: LeveledDeque<Vec<u32>> = LeveledDeque::new();
-        d.push_dfe(blk(4, 10));
-        d.push_restart(blk(2, 1));
-        let stolen = d.steal_top(8).unwrap();
-        assert_eq!(stolen.level, 2);
-        let stolen = d.steal_top(8).unwrap();
-        assert_eq!(stolen.level, 4);
-        assert!(d.steal_top(8).is_none());
-    }
-
-    #[test]
-    fn steal_prefers_full_dfe_block_at_same_level() {
-        let mut d: LeveledDeque<Vec<u32>> = LeveledDeque::new();
-        d.push_dfe(blk(1, 10));
-        d.push_restart(blk(1, 3));
-        let stolen = d.steal_top(8).unwrap();
-        assert_eq!(stolen.len(), 10, "the >= t_restart block is preferred");
-        assert_eq!(d.task_count(), 3);
-    }
-
-    #[test]
     fn take_level_merges_both_slots() {
         let mut d: LeveledDeque<Vec<u32>> = LeveledDeque::new();
         d.push_dfe(blk(2, 3));
@@ -454,35 +376,6 @@ mod tests {
         d.push_dfe(blk(0, 0));
         d.push_restart(blk(1, 0));
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn find_restart_full_takes_deepest_and_leaves_small_work_parked() {
-        let mut d: LeveledDeque<Vec<u32>> = LeveledDeque::new();
-        d.push_restart(blk(1, 2)); // small, shallow
-        d.push_dfe(blk(3, 6));
-        d.push_restart(blk(3, 4)); // merged: 10 >= 8
-        d.push_restart(blk(5, 3)); // small, deep
-        let mut merges = 0;
-        let got = d.find_restart_full(8, &mut merges).expect("level 3 qualifies");
-        assert_eq!(got.level, 3);
-        assert_eq!(got.len(), 10);
-        assert_eq!(merges, 1);
-        // Unlike find_restart, nothing else was removed.
-        assert_eq!(d.task_count(), 5);
-        assert_eq!(d.block_count(), 2);
-    }
-
-    #[test]
-    fn find_restart_full_returns_none_without_taking_top() {
-        let mut d: LeveledDeque<Vec<u32>> = LeveledDeque::new();
-        d.push_restart(blk(2, 3));
-        d.push_dfe(blk(4, 2));
-        let mut merges = 0;
-        assert!(d.find_restart_full(100, &mut merges).is_none());
-        // The scan merged each level into its restart slot but kept all work.
-        assert_eq!(d.task_count(), 5);
-        d.assert_restart_invariants(100);
     }
 
     #[test]
@@ -510,7 +403,7 @@ mod tests {
                 let _ = d.find_restart(6, &mut merges);
             }
             if i % 13 == 0 {
-                let _ = d.steal_top(6);
+                let _ = d.take_level(i % 7);
             }
         }
         let blocks: usize = d
@@ -534,9 +427,8 @@ mod tests {
 /// of the victim's deque, taken with one atomic exchange.
 ///
 /// A level holds at most two blocks (the §3.3 invariant), so the thief
-/// executes the ⌈half⌉ it prefers — `primary`, chosen exactly like the old
-/// mutex-guarded `steal_top` chose — and re-parks `leftover` (the remaining
-/// ⌊half⌋, if the level held two blocks) on *its own* deque. This is the
+/// executes the ⌈half⌉ it prefers — `primary` — and re-parks `leftover`
+/// (the remaining ⌊half⌋, if the level held two blocks) on *its own* deque. This is the
 /// block-granularity steal-half protocol: one atomic operation relieves the
 /// victim of a whole level, and the thief splits the loot instead of going
 /// back for seconds.
@@ -1182,10 +1074,10 @@ impl<S: TaskStore> SharedLeveledDeque<S> {
     }
 
     /// Steal the shallowest occupied level — both its blocks — with one
-    /// atomic exchange. The block the old `steal_top` would have chosen
-    /// (the DFE block if it has at least `prefer_at_least` tasks or at
-    /// least as many as the restart block, else the restart block) comes
-    /// back as [`StolenLevel::primary`]; the other block, if present, as
+    /// atomic exchange. The preferred block (the DFE block if it has at
+    /// least `prefer_at_least` tasks or at least as many as the restart
+    /// block, else the restart block) comes back as
+    /// [`StolenLevel::primary`]; the other block, if present, as
     /// [`StolenLevel::leftover`] for the thief to re-park on its own deque.
     /// Callable by any thread.
     pub fn steal_half(&self, prefer_at_least: usize) -> Option<StolenLevel<S>> {
@@ -1259,7 +1151,7 @@ mod shared_tests {
     }
 
     #[test]
-    fn push_and_find_restart_full_matches_reference() {
+    fn find_restart_full_takes_deepest_and_leaves_small_work_parked() {
         let d: SharedLeveledDeque<Vec<u32>> = SharedLeveledDeque::new();
         d.push_restart(blk(1, 2));
         d.push_dfe(blk(3, 6));

@@ -296,7 +296,7 @@ pub struct GrainController {
 
 impl GrainController {
     /// Grain cap as a shift over `Q`: `cap = Q × 2^10`, the same `k`
-    /// magnitude the pinned trajectory grid hand-tunes `t_dfe` to.
+    /// magnitude Table 1's hand-tuned block sizes sit at.
     pub const CAP_SHIFT: usize = 10;
 
     /// A controller with grain floor `q` and the default cap.

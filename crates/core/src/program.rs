@@ -168,9 +168,9 @@ impl<P: BlockProgram + ?Sized> BlockProgram for &P {
 /// members: a static spawn-site count, a stash of root tasks (one for a
 /// plain recursive call, many for a §5.2 data-parallel `foreach`, which
 /// the engines strip-mine), and a `make_root` that clones the stash per
-/// run. `tb-spec`'s two backends (the AST-walking `BlockedSpec` and the
-/// instruction-stream `CompiledSpec`) both embed a `ProgramShape` instead
-/// of re-implementing that plumbing; anything else that compiles programs
+/// run. `tb-spec`'s two compiled tiers (the scalar `CompiledSpec` and the
+/// vector `VectorSpec`) both embed a `ProgramShape` instead of
+/// re-implementing that plumbing; anything else that compiles programs
 /// at runtime can do the same.
 #[derive(Debug, Clone)]
 pub struct ProgramShape<S> {

@@ -14,7 +14,7 @@
 //! - [`drain_all`] + [`chrome::chrome_trace_json`]: a Chrome trace-event
 //!   JSON document, one track per worker, loadable in Perfetto.
 //! - [`metrics_snapshot`]: aggregate per-kind totals, drop counts and
-//!   trace bytes, merged into the trajectory/service bench artifacts.
+//!   trace bytes, surfaced through `tb-service`'s `ServiceStats`.
 
 pub mod chrome;
 pub mod event;

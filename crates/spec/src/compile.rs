@@ -1,31 +1,25 @@
 //! The compilation backend: spec → flat register-based instruction stream.
 //!
-//! [`BlockedSpec`](crate::transform::BlockedSpec) proved the §5.3
-//! transformation *generic* — any spec becomes a
-//! [`tb_core::BlockProgram`] — but it pays interpretive
-//! dispatch on the hot path: every `expand` re-walks the `Expr`/`Stmt`
-//! enums, chasing `Box` pointers per operator and re-discovering the
-//! statement structure per task. This module lowers a validated
-//! [`RecursiveSpec`] **once** into a [`SpecCode`]: a dense `Box<[Instr]>`
-//! executed by a flat program-counter loop over a scratch register file.
-//! No tree walk, no pointer chasing, no per-task control-flow discovery —
-//! the same shape a bytecode VM or a JIT front-end would produce.
+//! The §5.3 transformation is *generic* — any spec becomes a
+//! [`tb_core::BlockProgram`] whose `expand` advances a whole task block —
+//! and this module makes it cheap: a validated [`RecursiveSpec`] is lowered
+//! **once** into a [`SpecCode`], a dense `Box<[Instr]>` executed by a flat
+//! program-counter loop over a scratch register file. No tree walk, no
+//! pointer chasing, no per-task control-flow discovery — the same shape a
+//! bytecode VM or a JIT front-end would produce.
 //!
 //! Two further choices push [`CompiledSpec`] to native-class throughput:
 //!
 //! * **Constant folding** at lowering time: any operator whose operands
 //!   fold to literals is evaluated during compilation, so e.g. `3 * 4 + n`
 //!   costs one `Add` at run time.
-//! * **A columnar task store.** Where `BlockedSpec` heap-allocates one
-//!   `Vec<i64>` per spawned task, [`ArgBlock`] packs every task of a block
+//! * **A columnar task store.** [`ArgBlock`] packs every task of a block
 //!   into `stride` dense columns of `Vec<i64>` (one per method parameter —
 //!   the paper's Table-2 AoS→SoA move applied to the spec store itself).
 //!   A spawn is one push per column; a block of a million tasks is a
 //!   handful of allocations, not a million; and the vector tier's `Param`
 //!   loads and spawn compactions become contiguous per-column vector ops
-//!   (see [`SpecStore`] and `crate::simd_exec`). The previous row-major
-//!   layout survives as [`RowArgBlock`], the benchmark A/B arm and
-//!   equivalence-test oracle.
+//!   (see `crate::simd_exec`).
 //!
 //! The program layout is:
 //!
@@ -38,11 +32,11 @@
 //! ...             Halt
 //! ```
 //!
-//! Spawn sites keep the *syntactic* numbering
-//! [`BlockedSpec`](crate::transform::BlockedSpec) uses (then-
-//! branch sites before else-branch sites), so both backends route children
-//! into identical buckets and the cross-backend differential tests can
-//! compare whole executions, not just final reductions.
+//! Spawn sites are numbered *syntactically* (then-branch sites before
+//! else-branch sites, whether or not a guard is taken), so a task's
+//! children land in the same buckets on every execution tier and the
+//! differential tests can compare whole executions, not just final
+//! reductions.
 
 use std::sync::Arc;
 
@@ -294,15 +288,15 @@ impl SpecCode {
     /// least [`SpecCode::reg_count`] slots (reused across the tasks of a
     /// block). `Param` reads through `params` — either a borrowed
     /// contiguous tuple or a direct `(store, task)` column view, chosen
-    /// per store by `simd_exec::run_scalar` — so the one interpreter loop
+    /// per block by `simd_exec::run_scalar` — so the one interpreter loop
     /// serves both scan strategies. The vector tier (`crate::simd_exec`)
     /// calls this for the ragged remainder of a block.
     #[inline]
-    pub(crate) fn run_task<P: ParamSource, S: SpecStore>(
+    pub(crate) fn run_task<P: ParamSource>(
         &self,
         params: P,
         regs: &mut [i64],
-        out: &mut BucketSet<S>,
+        out: &mut BucketSet<ArgBlock>,
         red: &mut i64,
     ) {
         let code = &self.code;
@@ -360,10 +354,8 @@ impl SpecCode {
 
 /// Lower a validated spec to executable form.
 ///
-/// Runs [`RecursiveSpec::validate`] first, so the same errors a
-/// [`BlockedSpec`](crate::transform::BlockedSpec) construction would
-/// surface come back here — nothing invalid reaches the instruction
-/// stream.
+/// Runs [`RecursiveSpec::validate`] first, so nothing invalid reaches the
+/// instruction stream.
 ///
 /// ```
 /// let spec = tb_spec::parse_spec(
@@ -553,10 +545,10 @@ impl Lowerer {
 
 /// The scalar tier's parameter view of one task: a single `Param` load.
 /// Two zero-cost views implement it — a borrowed contiguous tuple
-/// (`&[i64]`, from a zero-copy [`SpecStore::for_each_tuple`] scan) and a
-/// direct `(store, task)` column read ([`StoreParams`]) — so the one
+/// (`&[i64]`, one element of a single-column block) and a direct
+/// `(store, task)` column read ([`StoreParams`]) — so the one
 /// `SpecCode::run_task` interpreter loop monomorphizes over whichever scan
-/// strategy `simd_exec::run_scalar` picks for the store at hand.
+/// `simd_exec::run_scalar` picks for the block at hand.
 pub(crate) trait ParamSource: Copy {
     fn get(&self, idx: usize) -> i64;
 }
@@ -568,100 +560,27 @@ impl ParamSource for &[i64] {
     }
 }
 
-/// Direct column reads for task `.1` of store `.0` — the scan view for
-/// stores whose tuple iteration would otherwise gather through scratch.
-pub(crate) struct StoreParams<'a, S>(pub &'a S, pub usize);
+/// Direct column reads for task `.1` of block `.0` — the scan view for
+/// multi-column blocks, whose tuples are not contiguous in memory.
+#[derive(Clone, Copy)]
+pub(crate) struct StoreParams<'a>(pub &'a ArgBlock, pub usize);
 
-// Manual impls: `&S` is always Copy, derive would demand `S: Copy`.
-impl<S> Clone for StoreParams<'_, S> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<S> Copy for StoreParams<'_, S> {}
-
-impl<S: SpecStore> ParamSource for StoreParams<'_, S> {
+impl ParamSource for StoreParams<'_> {
     #[inline]
     fn get(&self, idx: usize) -> i64 {
-        self.0.param(idx, self.1)
+        self.0.col(idx)[self.1]
     }
 }
 
-/// The storage contract of the compiled execution tiers, layered on top of
+/// A dense, column-major store of argument tuples: the compiled tiers'
 /// [`TaskStore`].
 ///
 /// The scheduler only moves tasks wholesale ([`TaskStore`]); a [`SpecCode`]
-/// program additionally needs *per-parameter* access: scalar tuple
-/// iteration for `run_task`, a contiguous `Q`-lane load of one parameter
-/// for the vector tier's `Param` instruction, and masked per-spawn
-/// compaction for its `Spawn`. Two layouts implement the contract:
-///
-/// * [`ArgBlock`] — column-major (SoA), the default. `param_lanes` is one
-///   contiguous vector load and `push_lane_tuples` is one
-///   [`tb_simd::compact_append_i64`] per column, for any parameter count.
-/// * [`RowArgBlock`] — the row-major (AoS) layout PR 5 shipped, kept as
-///   the benchmark A/B arm and the equivalence-test oracle. `param_lanes`
-///   is a per-lane strided gather, which is exactly the Table-2 AoS
-///   penalty the column layout removes.
-///
-/// Both store identical task order, so every tier is bit-identical over
-/// either layout.
-pub trait SpecStore: TaskStore + Clone + Sync + std::fmt::Debug {
-    /// Layout tag recorded in benchmark rows (`"col"` / `"row"`).
-    const LAYOUT: &'static str;
-
-    /// An empty store whose tasks will be `params`-tuples.
-    fn with_params(params: usize) -> Self;
-
-    /// Pack `calls` (each of length `params`) into a store.
-    fn from_tuples(params: usize, calls: &[Vec<i64>]) -> Self {
-        let mut b = Self::with_params(params);
-        for c in calls {
-            assert_eq!(c.len(), params, "root call arity mismatch");
-            b.push_tuple(c);
-        }
-        b
-    }
-
-    /// Append one task. `args` must match the store's tuple width (an
-    /// empty slice occupies one padding slot, see [`ArgBlock`]).
-    fn push_tuple(&mut self, args: &[i64]);
-
-    /// Append one task per *set lane*: column `j` of `cols` holds argument
-    /// `j` for `Q` candidate tasks, and lane `l`'s tuple
-    /// `(cols[0][l], …, cols[k-1][l])` is appended iff `mask` lane `l` is
-    /// true, in lane order. This is the vector tier's spawn path — the §6
-    /// streaming-compaction step that turns a masked spawn decision into a
-    /// dense store.
-    fn push_lane_tuples<const Q: usize>(&mut self, cols: &[Lanes<i64, Q>], mask: &Mask<Q>);
-
-    /// Parameter `idx` of the `Q` consecutive tasks starting at `base`,
-    /// as one lane vector. Callers must guarantee
-    /// `base + Q <= self.len()` (the vector tier only runs full groups).
-    fn param_lanes<const Q: usize>(&self, idx: usize, base: usize) -> Lanes<i64, Q>;
-
-    /// Parameter `idx` of task `t` — the scalar tier's `Param` load
-    /// (`SpecCode::run_task_at`), reading the store in place instead of
-    /// gathering each task's tuple into scratch first.
-    fn param(&self, idx: usize, t: usize) -> i64;
-
-    /// Visit every task's `stride`-wide parameter tuple from task `from`
-    /// on, in task order.
-    fn for_each_tuple(&self, from: usize, f: impl FnMut(&[i64]));
-
-    /// Whether [`SpecStore::for_each_tuple`] must gather each tuple into
-    /// scratch (true for multi-column [`ArgBlock`]s). The scalar sweep
-    /// uses this to pick its scan: zero-copy tuple iteration where
-    /// available, otherwise direct in-place [`SpecStore::param`] reads.
-    fn tuple_scan_copies(&self) -> bool;
-
-    /// Parameters per task, floored at 1 (zero-parameter programs keep one
-    /// padding slot so tasks stay countable); 0 while still unset.
-    fn stride(&self) -> usize;
-}
-
-/// A dense, column-major store of argument tuples: the compiled backend's
-/// default [`TaskStore`].
+/// program additionally needs *per-parameter* access: scalar tuple reads
+/// for `run_task`, a contiguous `Q`-lane load of one parameter for the
+/// vector tier's `Param` instruction ([`ArgBlock::param_lanes`]), and
+/// masked per-spawn compaction for its `Spawn`
+/// ([`ArgBlock::push_lane_tuples`]).
 ///
 /// Parameter `j` of every task lives in column `j`, all columns the same
 /// length (`stride` = the method's parameter count, floored at 1 so
@@ -673,9 +592,9 @@ pub trait SpecStore: TaskStore + Clone + Sync + std::fmt::Debug {
 /// transformation of the paper's Table 2).
 ///
 /// Column 0 is stored inline (`col0`), not behind the `rest` vec-of-vecs:
-/// single-parameter methods (fib, parentheses — the dominant recursive
-/// shape) then pay zero extra indirection over the retired row layout on
-/// the scalar tier's per-spawn push, while columns `1..` sit one hop away.
+/// single-parameter methods (fib — the dominant recursive shape) then pay
+/// zero extra indirection on the scalar tier's per-spawn push, while
+/// columns `1..` sit one hop away.
 ///
 /// A default-constructed block has stride 0 ("unset") and adopts the
 /// stride of the first tuples appended into it — that is what lets
@@ -696,8 +615,23 @@ impl ArgBlock {
     }
 
     /// Pack `calls` (each of length `params`) into a columnar block.
+    ///
+    /// # Panics
+    /// If any tuple's length differs from `params`.
     pub fn from_tuples(params: usize, calls: &[Vec<i64>]) -> Self {
-        <Self as SpecStore>::from_tuples(params, calls)
+        let mut b = Self::with_params(params);
+        for c in calls {
+            assert_eq!(c.len(), params, "root call arity mismatch");
+            b.push_tuple(c);
+        }
+        b
+    }
+
+    /// Parameters per task, floored at 1 (zero-parameter programs keep one
+    /// padding slot so tasks stay countable); 0 while still unset.
+    #[inline]
+    pub fn stride(&self) -> usize {
+        self.stride
     }
 
     #[inline]
@@ -713,7 +647,7 @@ impl ArgBlock {
 
     /// Column `idx` (0 is the inline column).
     #[inline]
-    fn col(&self, idx: usize) -> &Vec<i64> {
+    fn col(&self, idx: usize) -> &[i64] {
         if idx == 0 {
             &self.col0
         } else {
@@ -756,11 +690,13 @@ impl ArgBlock {
         (0..self.task_count()).map(move |t| (0..self.stride).map(|j| self.col(j)[t]).collect())
     }
 
-    /// Append one task per *set lane* (see [`SpecStore::push_lane_tuples`]).
-    /// Column-major makes this one [`tb_simd::compact_append_i64`] per
-    /// parameter column for *any* parameter count — the layout change that
-    /// retired the row-major store's scalar interleave for multi-parameter
-    /// spawns.
+    /// Append one task per *set lane*: column `j` of `cols` holds argument
+    /// `j` for `Q` candidate tasks, and lane `l`'s tuple
+    /// `(cols[0][l], …, cols[k-1][l])` is appended iff `mask` lane `l` is
+    /// true, in lane order. This is the vector tier's spawn path — the §6
+    /// streaming-compaction step that turns a masked spawn decision into a
+    /// dense store: one [`tb_simd::compact_append_i64`] per parameter
+    /// column, for any parameter count.
     ///
     /// An empty `cols` (zero-parameter methods) appends the 1-slot padding
     /// [`ArgBlock::push_tuple`] documents.
@@ -789,64 +725,24 @@ impl ArgBlock {
             compact_append_i64(dst, src, mask);
         }
     }
-}
 
-impl SpecStore for ArgBlock {
-    const LAYOUT: &'static str = "col";
-
-    fn with_params(params: usize) -> Self {
-        ArgBlock::with_params(params)
-    }
-
+    /// Parameter `idx` of the `Q` consecutive tasks starting at `base`, as
+    /// one lane vector — a single contiguous load from that parameter's
+    /// column.
+    ///
+    /// # Panics
+    /// Unless `base + Q <= self.len()` (the vector tier only runs full
+    /// groups).
     #[inline]
-    fn push_tuple(&mut self, args: &[i64]) {
-        ArgBlock::push_tuple(self, args);
-    }
-
-    #[inline]
-    fn push_lane_tuples<const Q: usize>(&mut self, cols: &[Lanes<i64, Q>], mask: &Mask<Q>) {
-        ArgBlock::push_lane_tuples(self, cols, mask);
-    }
-
-    #[inline]
-    fn param_lanes<const Q: usize>(&self, idx: usize, base: usize) -> Lanes<i64, Q> {
+    pub fn param_lanes<const Q: usize>(&self, idx: usize, base: usize) -> Lanes<i64, Q> {
         Lanes::from_slice(&self.col(idx)[base..])
     }
 
+    /// The one column of a single-parameter block — each element is a
+    /// whole task tuple, readable in place; `None` for wider blocks.
     #[inline]
-    fn param(&self, idx: usize, t: usize) -> i64 {
-        self.col(idx)[t]
-    }
-
-    #[inline]
-    fn for_each_tuple(&self, from: usize, mut f: impl FnMut(&[i64])) {
-        let n = self.task_count();
-        if self.rest.is_empty() {
-            // Single-column blocks (the common recursive case) iterate the
-            // inline column in place, zero-copy.
-            for v in &self.col0[from..n] {
-                f(std::slice::from_ref(v));
-            }
-        } else {
-            let mut tuple = vec![0i64; self.stride];
-            for t in from..n {
-                tuple[0] = self.col0[t];
-                for (slot, c) in tuple[1..].iter_mut().zip(&self.rest) {
-                    *slot = c[t];
-                }
-                f(&tuple);
-            }
-        }
-    }
-
-    #[inline]
-    fn tuple_scan_copies(&self) -> bool {
-        !self.rest.is_empty()
-    }
-
-    #[inline]
-    fn stride(&self) -> usize {
-        self.stride
+    pub(crate) fn single_column(&self) -> Option<&[i64]> {
+        self.rest.is_empty().then_some(&self.col0[..])
     }
 }
 
@@ -897,165 +793,18 @@ impl TaskStore for ArgBlock {
     }
 }
 
-/// The row-major (AoS) store the compiled tiers used before the column
-/// layout landed: every task is `stride` consecutive `i64`s in one flat
-/// `Vec`.
-///
-/// Kept deliberately: it is the *reference* the store-equivalence tests
-/// check [`ArgBlock`] against operation-for-operation, and the `--layout
-/// row` arm of the `trajectory` spec-family A/B that measures what the
-/// AoS→SoA move buys. Its `param_lanes` is the per-lane strided gather
-/// (`data[(base + l) * stride + idx]`) whose cost motivated the switch.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RowArgBlock {
-    stride: usize,
-    data: Vec<i64>,
-}
-
-impl RowArgBlock {
-    /// The task tuples, in insertion order (contiguous rows, zero-copy).
-    pub fn tuples(&self) -> impl Iterator<Item = &[i64]> {
-        self.data.chunks_exact(self.stride.max(1))
-    }
-}
-
-impl SpecStore for RowArgBlock {
-    const LAYOUT: &'static str = "row";
-
-    fn with_params(params: usize) -> Self {
-        RowArgBlock { stride: params.max(1), data: Vec::new() }
-    }
-
-    #[inline]
-    fn push_tuple(&mut self, args: &[i64]) {
-        let incoming = args.len().max(1);
-        if self.stride == 0 {
-            self.stride = incoming;
-        }
-        debug_assert_eq!(incoming, self.stride, "mixed tuple widths in one RowArgBlock");
-        if args.is_empty() {
-            self.data.push(0);
-        } else {
-            self.data.extend_from_slice(args);
-        }
-    }
-
-    fn push_lane_tuples<const Q: usize>(&mut self, cols: &[Lanes<i64, Q>], mask: &Mask<Q>) {
-        let incoming = cols.len().max(1);
-        if self.stride == 0 {
-            self.stride = incoming;
-        }
-        debug_assert_eq!(incoming, self.stride, "mixed tuple widths in one RowArgBlock");
-        match cols {
-            [] => {
-                for &m in &mask.0 {
-                    if m {
-                        self.data.push(0);
-                    }
-                }
-            }
-            // One-parameter methods compact straight into the flat store;
-            // wider tuples interleave the columns row-major, scalar-wise —
-            // the fast path the column layout extends to every width.
-            [col] => {
-                compact_append_i64(&mut self.data, col, mask);
-            }
-            _ => {
-                for l in 0..Q {
-                    if mask.0[l] {
-                        for c in cols {
-                            self.data.push(c.lane(l));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn param_lanes<const Q: usize>(&self, idx: usize, base: usize) -> Lanes<i64, Q> {
-        let stride = self.stride;
-        Lanes(std::array::from_fn(|l| self.data[(base + l) * stride + idx]))
-    }
-
-    #[inline]
-    fn param(&self, idx: usize, t: usize) -> i64 {
-        self.data[t * self.stride + idx]
-    }
-
-    #[inline]
-    fn for_each_tuple(&self, from: usize, mut f: impl FnMut(&[i64])) {
-        let w = self.stride.max(1);
-        for task in self.data[from * w..].chunks_exact(w) {
-            f(task);
-        }
-    }
-
-    #[inline]
-    fn tuple_scan_copies(&self) -> bool {
-        // Rows are already contiguous; tuple iteration is zero-copy at
-        // every width.
-        false
-    }
-
-    #[inline]
-    fn stride(&self) -> usize {
-        self.stride
-    }
-}
-
-impl TaskStore for RowArgBlock {
-    #[inline]
-    fn len(&self) -> usize {
-        self.data.len().checked_div(self.stride).unwrap_or(0)
-    }
-
-    #[inline]
-    fn append(&mut self, other: &mut Self) {
-        if other.data.is_empty() {
-            return;
-        }
-        if self.stride == 0 {
-            self.stride = other.stride;
-        }
-        debug_assert_eq!(self.stride, other.stride, "appending RowArgBlocks of different widths");
-        self.data.append(&mut other.data);
-    }
-
-    #[inline]
-    fn clear(&mut self) {
-        self.data.clear();
-    }
-
-    #[inline]
-    fn split_off(&mut self, at: usize) -> Self {
-        RowArgBlock { stride: self.stride, data: self.data.split_off(at * self.stride) }
-    }
-
-    #[inline]
-    fn reserve(&mut self, additional: usize) {
-        self.data.reserve(additional * self.stride.max(1));
-    }
-}
-
 /// A spec lowered to an instruction stream and packaged as a
-/// [`BlockProgram`]: the compiled counterpart of
-/// [`BlockedSpec`](crate::transform::BlockedSpec), semantically equivalent
-/// under every scheduler (same spawn-site numbering, same wrapping-sum
-/// reduction), but with the AST walk replaced by [`SpecCode`]'s flat
-/// execution loop and the per-task `Vec<i64>` allocations replaced by
-/// [`ArgBlock`]'s flat stores.
+/// [`BlockProgram`]: runs under every scheduler in `tb-core` (syntactic
+/// spawn-site numbering, wrapping-sum reduction), with [`SpecCode`]'s flat
+/// execution loop on the `expand` hot path and [`ArgBlock`]'s columnar
+/// stores instead of per-task allocations.
 ///
 /// A §5.2 data-parallel `foreach` becomes many level-0 tasks in the root
 /// block ([`CompiledSpec::with_data_parallel`]); the engines strip-mine
-/// oversized roots exactly as they do for `BlockedSpec`.
-///
-/// The store parameter defaults to the column-major [`ArgBlock`]; the
-/// benchmark A/B instantiates `CompiledSpec<RowArgBlock>` via
-/// [`CompiledSpec::from_code_in`] to measure the old row-major layout.
-pub struct CompiledSpec<S: SpecStore = ArgBlock> {
+/// oversized roots (§5.3).
+pub struct CompiledSpec {
     code: Arc<SpecCode>,
-    shape: ProgramShape<S>,
+    shape: ProgramShape<ArgBlock>,
 }
 
 impl CompiledSpec {
@@ -1085,15 +834,7 @@ impl CompiledSpec {
     /// count. Callers holding unvalidated client input (the service layer)
     /// must check [`SpecCode::params`] first.
     pub fn from_code(code: Arc<SpecCode>, calls: &[Vec<i64>]) -> Self {
-        Self::from_code_in(code, calls)
-    }
-}
-
-impl<S: SpecStore> CompiledSpec<S> {
-    /// [`CompiledSpec::from_code`] for an explicit store layout (the
-    /// row-vs-column benchmark arm; everything else uses the default).
-    pub fn from_code_in(code: Arc<SpecCode>, calls: &[Vec<i64>]) -> Self {
-        let roots = S::from_tuples(code.params(), calls);
+        let roots = ArgBlock::from_tuples(code.params(), calls);
         CompiledSpec { shape: ProgramShape::new(code.arity(), roots), code }
     }
 
@@ -1108,15 +849,15 @@ impl<S: SpecStore> CompiledSpec<S> {
     }
 }
 
-impl<S: SpecStore> BlockProgram for CompiledSpec<S> {
-    type Store = S;
+impl BlockProgram for CompiledSpec {
+    type Store = ArgBlock;
     type Reducer = i64;
 
     fn arity(&self) -> usize {
         self.shape.arity()
     }
 
-    fn make_root(&self) -> S {
+    fn make_root(&self) -> ArgBlock {
         self.shape.make_root()
     }
 
@@ -1128,7 +869,7 @@ impl<S: SpecStore> BlockProgram for CompiledSpec<S> {
         tb_core::merge_sum(a, b);
     }
 
-    fn expand(&self, block: &mut S, out: &mut BucketSet<S>, red: &mut i64) {
+    fn expand(&self, block: &mut ArgBlock, out: &mut BucketSet<ArgBlock>, red: &mut i64) {
         if block.is_empty() {
             return;
         }
@@ -1149,7 +890,6 @@ mod tests {
     use super::*;
     use crate::examples;
     use crate::interp::{interpret, interpret_data_parallel};
-    use crate::transform::BlockedSpec;
 
     #[test]
     fn compiled_fib_matches_interpreter_under_every_policy() {
@@ -1161,21 +901,6 @@ mod tests {
             let out = SeqScheduler::new(&prog, cfg).run();
             assert_eq!(out.reducer, want, "{:?}", cfg.policy);
         }
-    }
-
-    #[test]
-    fn compiled_matches_blocked_task_for_task() {
-        // Same computation tree, not just the same answer: identical task
-        // counts prove the spawn-site routing agrees.
-        let spec = examples::parentheses_spec(7);
-        let blocked = BlockedSpec::new(spec.clone(), vec![0, 0]).unwrap();
-        let compiled = CompiledSpec::new(&spec, vec![0, 0]).unwrap();
-        let cfg = SchedConfig::restart(8, 64, 16);
-        let a = SeqScheduler::new(&blocked, cfg).run();
-        let b = SeqScheduler::new(&compiled, cfg).run();
-        assert_eq!(a.reducer, b.reducer);
-        assert_eq!(a.stats.tasks_executed, b.stats.tasks_executed);
-        assert_eq!(a.stats.supersteps, b.stats.supersteps);
     }
 
     #[test]
@@ -1269,34 +994,6 @@ mod tests {
         assert_eq!(TaskStore::len(&dflt), 2);
         TaskStore::clear(&mut dflt);
         assert_eq!(TaskStore::len(&dflt), 0);
-    }
-
-    #[test]
-    fn row_store_contract_matches_column_store() {
-        // Drive both layouts through the same operation sequence; the
-        // randomized operation-for-operation proptest lives in
-        // tests/store_equiv.rs — this is the deterministic smoke version.
-        let tuples = [vec![1i64, 2], vec![3, 4], vec![5, 6], vec![7, 8]];
-        let mut col = ArgBlock::from_tuples(2, &tuples);
-        let mut row = RowArgBlock::from_tuples(2, &tuples);
-        assert_eq!(TaskStore::len(&col), TaskStore::len(&row));
-        let (ct, rt) = (TaskStore::split_off(&mut col, 1), TaskStore::split_off(&mut row, 1));
-        let crows: Vec<Vec<i64>> = ct.tuples().collect();
-        let rrows: Vec<Vec<i64>> = rt.tuples().map(<[i64]>::to_vec).collect();
-        assert_eq!(crows, rrows);
-        assert_eq!(col.tuples().collect::<Vec<_>>(), vec![vec![1, 2]]);
-
-        // Vector-tier surface agrees too.
-        let c4: Lanes<i64, 2> = ct.param_lanes(1, 0);
-        let r4: Lanes<i64, 2> = rt.param_lanes(1, 0);
-        assert_eq!(c4.0, r4.0);
-        let lanes = [Lanes::<i64, 4>([9, 10, 11, 12]), Lanes([90, 100, 110, 120])];
-        let m = Mask([true, true, false, true]);
-        let mut cb = <ArgBlock as SpecStore>::with_params(2);
-        let mut rb = <RowArgBlock as SpecStore>::with_params(2);
-        cb.push_lane_tuples(&lanes, &m);
-        SpecStore::push_lane_tuples(&mut rb, &lanes, &m);
-        assert_eq!(cb.tuples().collect::<Vec<_>>(), rb.tuples().map(<[i64]>::to_vec).collect::<Vec<_>>());
     }
 
     #[test]

@@ -147,16 +147,14 @@ mod tests {
     }
 
     #[test]
-    fn treesum_foreach_runs_blocked_and_compiled() {
+    fn treesum_foreach_runs_compiled() {
         use tb_core::prelude::*;
         let spec = treesum_spec(3);
         let calls = treesum_roots(6, 40);
         let want = treesum_expected(3, 6, 40);
-        let blocked = crate::transform::BlockedSpec::with_data_parallel(spec.clone(), calls.clone()).unwrap();
         let compiled = crate::compile::CompiledSpec::with_data_parallel(&spec, calls).unwrap();
         // Small t_dfe forces the §5.3 strip-mining of the foreach roots.
         let cfg = SchedConfig::restart(8, 16, 8);
-        assert_eq!(run_policy(&blocked, cfg, None).reducer, want);
         assert_eq!(run_policy(&compiled, cfg, None).reducer, want);
     }
 }

@@ -33,9 +33,9 @@ fn run_call(spec: &RecursiveSpec, params: &[i64], acc: &mut i64) {
 fn run_stmts(spec: &RecursiveSpec, stmts: &[Stmt], params: &[i64], acc: &mut i64) {
     for s in stmts {
         match s {
-            // Wrapping, like Expr::eval: all three backends (interpreter,
-            // BlockedSpec, CompiledSpec) share one total semantics, so the
-            // differential tests hold on any input.
+            // Wrapping, like Expr::eval: the interpreter and the compiled
+            // tiers share one total semantics, so the differential tests
+            // hold on any input.
             Stmt::Reduce(e) => *acc = acc.wrapping_add(e.eval(params)),
             Stmt::Spawn(args) => {
                 let child: Vec<i64> = args.iter().map(|a| a.eval(params)).collect();

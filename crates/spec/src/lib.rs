@@ -18,18 +18,16 @@
 //! * [`parse`] — a small text front-end, so specs can be written as
 //!   source strings;
 //! * [`interp`] — the direct recursive interpreter (reference semantics);
-//! * [`transform`] — the §5.3 transformation: a spec becomes a
-//!   [`tb_core::BlockProgram`] whose `expand` advances a whole task block,
-//!   with the data-parallel outer loop strip-mined into the root block —
-//!   after which *every* scheduler in `tb-core` (BFE/DFE blocking,
-//!   re-expansion, restart, work stealing) applies unchanged;
-//! * [`compile`](mod@compile) — the native-speed backend: the same validated AST
-//!   lowered once to a flat register-based instruction stream
-//!   ([`SpecCode`]) executed over column-major task stores
-//!   ([`compile::ArgBlock`]: one contiguous `Vec<i64>` per parameter,
-//!   behind the [`compile::SpecStore`] trait, with the retired row-major
-//!   [`compile::RowArgBlock`] kept as the A/B reference) — no AST walk
-//!   and no per-task allocation on the `expand` hot path;
+//! * [`compile`](mod@compile) — the §5.3 transformation: a spec becomes a
+//!   [`tb_core::BlockProgram`] ([`CompiledSpec`]) whose `expand` advances
+//!   a whole task block, with the data-parallel outer loop strip-mined
+//!   into the root block — after which *every* scheduler in `tb-core`
+//!   (BFE/DFE blocking, re-expansion, restart, work stealing) applies
+//!   unchanged. The validated AST is lowered once to a flat register-based
+//!   instruction stream ([`SpecCode`]) executed over column-major task
+//!   stores ([`compile::ArgBlock`]: one contiguous `Vec<i64>` per
+//!   parameter) — no AST walk and no per-task allocation on the `expand`
+//!   hot path;
 //! * [`simd_exec`] — the vector tier over the same instruction stream:
 //!   [`SpecCode::run_tasks_q`] executes `Q` tasks in lockstep with
 //!   registers widened to `tb_simd::Lanes<i64, Q>` columns and divergent
@@ -39,11 +37,11 @@
 //!   k-ary tree sum written in the language, used by the cross-validation
 //!   tests.
 //!
-//! The four execution routes — [`interpret`], [`BlockedSpec`],
-//! [`CompiledSpec`], [`VectorSpec`] — are semantically interchangeable
-//! (wrapping-`i64` reductions, syntactic spawn-site numbering, identical
-//! task trees); the differential property tests in the workspace root
-//! hold them to that.
+//! The three execution routes — [`interpret`] (the oracle),
+//! [`CompiledSpec`] (compiled scalar), [`VectorSpec`] (compiled vector) —
+//! are semantically interchangeable (wrapping-`i64` reductions, syntactic
+//! spawn-site numbering, identical task trees); the differential property
+//! tests in the workspace root hold them to that.
 //!
 //! The language itself — grammar, parser caps, the full instruction set,
 //! a worked lowering example, and the scalar-vs-vector execution model —
@@ -58,11 +56,9 @@ pub mod examples;
 pub mod interp;
 pub mod parse;
 pub mod simd_exec;
-pub mod transform;
 
 pub use ast::{Expr, RecursiveSpec, SpecError, Stmt};
 pub use compile::{compile, CompiledSpec, SpecCode};
 pub use interp::interpret;
 pub use parse::{parse_spec, ParseError};
 pub use simd_exec::{detected_lane_width, SpecTier, VectorSpec};
-pub use transform::BlockedSpec;

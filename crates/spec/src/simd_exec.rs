@@ -44,11 +44,9 @@
 //!   for any parameter count ([`ArgBlock::push_lane_tuples`]) — and the
 //!   jumps repark exactly the live lanes that take them.
 //!
-//! Task storage is abstracted behind [`SpecStore`]: with the default
-//! column-major [`ArgBlock`], `Param` is one contiguous
-//! `Lanes::from_slice` per parameter (the Table-2 AoS→SoA payoff), while
-//! the row-major [`RowArgBlock`](crate::compile::RowArgBlock) A/B arm
-//! pays a per-lane strided gather.
+//! Tasks live in the column-major [`ArgBlock`], so `Param` is one
+//! contiguous `Lanes::from_slice` per parameter (the Table-2 AoS→SoA
+//! payoff) rather than a per-lane strided gather.
 //!
 //! # Bit-identical to scalar execution
 //!
@@ -59,8 +57,8 @@
 //! vector tier folds the same multiset of contributions in a different
 //! interleaving, and wrapping addition is commutative and associative, so
 //! the final reducer is bit-identical too. The workspace differential
-//! proptest (`tests/spec_differential.rs`) holds all four routes — interp,
-//! `BlockedSpec`, `CompiledSpec`, `VectorSpec` — to exactly that.
+//! proptest (`tests/spec_differential.rs`) holds all three routes —
+//! interpreter, `CompiledSpec`, `VectorSpec` — to exactly that.
 
 use std::sync::Arc;
 
@@ -68,7 +66,7 @@ use tb_core::prelude::*;
 use tb_simd::{detected_q, Lanes, Mask};
 
 use crate::ast::{RecursiveSpec, SpecError};
-use crate::compile::{compile, ArgBlock, Instr, SpecCode, SpecStore};
+use crate::compile::{compile, ArgBlock, Instr, SpecCode, StoreParams};
 
 /// “Not parked” sentinel: the lane is either live or retired at a `Halt`.
 const LANE_DONE: u32 = u32::MAX;
@@ -129,8 +127,8 @@ impl SpecCode {
     /// (reused across groups of a block). Children land in `out` and
     /// base-case contributions in `red` exactly as the scalar loop would
     /// put them — see the module docs for why the two tiers are
-    /// bit-identical. With the column-major [`ArgBlock`], each `Param` is
-    /// one contiguous vector load from that parameter's column.
+    /// bit-identical. Each `Param` is one contiguous vector load from that
+    /// parameter's column.
     ///
     /// Callers with a ragged tail (a block whose task count is not a
     /// multiple of `Q`) peel the remainder through the scalar tier;
@@ -139,12 +137,12 @@ impl SpecCode {
     /// # Panics
     /// Debug builds assert `base + Q <= store.len()` and that `regs` is
     /// large enough.
-    pub fn run_tasks_q<S: SpecStore, const Q: usize>(
+    pub fn run_tasks_q<const Q: usize>(
         &self,
-        store: &S,
+        store: &ArgBlock,
         base: usize,
         regs: &mut [Lanes<i64, Q>],
-        out: &mut BucketSet<S>,
+        out: &mut BucketSet<ArgBlock>,
         red: &mut i64,
     ) {
         let params = self.params();
@@ -272,17 +270,17 @@ impl SpecCode {
 
 /// Run every task of `store` through `Q`-lane groups, peeling the ragged
 /// tail scalar-wise.
-fn run_groups<S: SpecStore, const Q: usize>(
+fn run_groups<const Q: usize>(
     code: &SpecCode,
-    store: &S,
-    out: &mut BucketSet<S>,
+    store: &ArgBlock,
+    out: &mut BucketSet<ArgBlock>,
     red: &mut i64,
 ) {
     let n = store.len();
     let mut regs = vec![Lanes::<i64, Q>::splat(0); code.reg_count()];
     let mut base = 0;
     while base + Q <= n {
-        code.run_tasks_q::<S, Q>(store, base, &mut regs, out, red);
+        code.run_tasks_q::<Q>(store, base, &mut regs, out, red);
         base += Q;
     }
     run_scalar_from(code, store, base, out, red);
@@ -291,32 +289,37 @@ fn run_groups<S: SpecStore, const Q: usize>(
 /// The scalar tier over a whole store: the single scalar sweep shared by
 /// `CompiledSpec::expand` (whole blocks) and width-1 `VectorSpec`s — one
 /// implementation so the tiers cannot drift apart.
-pub(crate) fn run_scalar<S: SpecStore>(code: &SpecCode, store: &S, out: &mut BucketSet<S>, red: &mut i64) {
+pub(crate) fn run_scalar(code: &SpecCode, store: &ArgBlock, out: &mut BucketSet<ArgBlock>, red: &mut i64) {
     run_scalar_from(code, store, 0, out, red);
 }
 
 /// The scalar sweep from task `from` on: the vector tier's
-/// ragged-remainder peel enters here. The scan strategy is per store:
-/// zero-copy tuple iteration where the layout provides it (row stores,
-/// single-column blocks), direct in-place `SpecStore::param` reads where
-/// tuple iteration would gather through scratch (multi-column blocks).
-fn run_scalar_from<S: SpecStore>(
+/// ragged-remainder peel enters here. Single-parameter blocks hand each
+/// task to the interpreter loop as a borrowed one-element tuple straight
+/// out of the column; wider blocks read their columns in place through
+/// [`StoreParams`] instead of gathering each tuple into scratch first.
+fn run_scalar_from(
     code: &SpecCode,
-    store: &S,
+    store: &ArgBlock,
     from: usize,
-    out: &mut BucketSet<S>,
+    out: &mut BucketSet<ArgBlock>,
     red: &mut i64,
 ) {
     let mut regs = vec![0i64; code.reg_count()];
-    if store.tuple_scan_copies() {
-        for t in from..store.len() {
-            code.run_task(crate::compile::StoreParams(store, t), &mut regs, out, red);
+    match store.single_column() {
+        Some(col) => {
+            // A zero-parameter method's column is padding: its tuple is
+            // empty (and its code contains no `Param`).
+            let params = code.params();
+            for v in &col[from..] {
+                code.run_task(&std::slice::from_ref(v)[..params], &mut regs, out, red);
+            }
         }
-    } else {
-        let params = code.params();
-        store.for_each_tuple(from, |task| {
-            code.run_task(&task[..params], &mut regs, out, red);
-        });
+        None => {
+            for t in from..store.len() {
+                code.run_task(StoreParams(store, t), &mut regs, out, red);
+            }
+        }
     }
 }
 
@@ -341,9 +344,9 @@ fn run_scalar_from<S: SpecStore>(
 /// assert_eq!(a.reducer, b.reducer);
 /// assert_eq!(a.stats.tasks_executed, b.stats.tasks_executed);
 /// ```
-pub struct VectorSpec<S: SpecStore = ArgBlock> {
+pub struct VectorSpec {
     code: Arc<SpecCode>,
-    shape: ProgramShape<S>,
+    shape: ProgramShape<ArgBlock>,
     q: usize,
 }
 
@@ -375,16 +378,7 @@ impl VectorSpec {
     /// loop). Tests use this to exercise every masked width regardless of
     /// host SIMD; benchmarks use it to pin `Q`.
     pub fn from_code_with_width(code: Arc<SpecCode>, calls: &[Vec<i64>], q: usize) -> Self {
-        Self::from_code_with_width_in(code, calls, q)
-    }
-}
-
-impl<S: SpecStore> VectorSpec<S> {
-    /// [`VectorSpec::from_code_with_width`] for an explicit store layout
-    /// (the row-vs-column benchmark arm; everything else uses the default
-    /// column-major [`ArgBlock`]).
-    pub fn from_code_with_width_in(code: Arc<SpecCode>, calls: &[Vec<i64>], q: usize) -> Self {
-        let roots = S::from_tuples(code.params(), calls);
+        let roots = ArgBlock::from_tuples(code.params(), calls);
         VectorSpec { shape: ProgramShape::new(code.arity(), roots), code, q: round_width(q) }
     }
 
@@ -404,15 +398,15 @@ impl<S: SpecStore> VectorSpec<S> {
     }
 }
 
-impl<S: SpecStore> BlockProgram for VectorSpec<S> {
-    type Store = S;
+impl BlockProgram for VectorSpec {
+    type Store = ArgBlock;
     type Reducer = i64;
 
     fn arity(&self) -> usize {
         self.shape.arity()
     }
 
-    fn make_root(&self) -> S {
+    fn make_root(&self) -> ArgBlock {
         self.shape.make_root()
     }
 
@@ -424,7 +418,7 @@ impl<S: SpecStore> BlockProgram for VectorSpec<S> {
         tb_core::merge_sum(a, b);
     }
 
-    fn expand(&self, block: &mut S, out: &mut BucketSet<S>, red: &mut i64) {
+    fn expand(&self, block: &mut ArgBlock, out: &mut BucketSet<ArgBlock>, red: &mut i64) {
         if block.is_empty() {
             return;
         }
@@ -432,9 +426,9 @@ impl<S: SpecStore> BlockProgram for VectorSpec<S> {
         let store = block.take();
         tb_obs::record(tb_obs::EventKind::TierBegin, self.q as u32, store.len() as u64);
         match self.q {
-            8 => run_groups::<S, 8>(&self.code, &store, out, red),
-            4 => run_groups::<S, 4>(&self.code, &store, out, red),
-            2 => run_groups::<S, 2>(&self.code, &store, out, red),
+            8 => run_groups::<8>(&self.code, &store, out, red),
+            4 => run_groups::<4>(&self.code, &store, out, red),
+            2 => run_groups::<2>(&self.code, &store, out, red),
             _ => run_scalar(&self.code, &store, out, red),
         }
         tb_obs::record(tb_obs::EventKind::TierEnd, self.q as u32, 0);

@@ -36,7 +36,6 @@
 //! harness runs in minutes on a laptop.
 
 pub mod bench;
-pub mod jobs;
 pub mod outcome;
 
 pub mod barneshut;

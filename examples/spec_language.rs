@@ -1,6 +1,6 @@
 //! The §5 specification language end to end: write a recursive program as
-//! *text*, parse it, interpret it for reference semantics, then run the
-//! generic blocking transformation and schedule it on every engine —
+//! *text*, parse it, interpret it for reference semantics, then compile it
+//! (the generic blocking transformation) and schedule it on every engine —
 //! including a data-parallel outer loop that gets strip-mined.
 //!
 //! ```sh
@@ -8,7 +8,7 @@
 //! ```
 
 use taskblocks::prelude::*;
-use taskblocks::spec::{compile, interpret, parse_spec, BlockedSpec, CompiledSpec};
+use taskblocks::spec::{compile, interpret, parse_spec, CompiledSpec};
 
 fn main() {
     let source = "spec paren(open, close) {
@@ -24,9 +24,13 @@ fn main() {
     let reference = interpret(&spec, &[0, 0]);
     println!("interpreter (reference semantics): {reference}  (Catalan(11))");
 
-    // The generic Fig. 1(a) -> Fig. 1(b,c) transformation: one BlockProgram
-    // for any spec.
-    let prog = BlockedSpec::new(spec.clone(), vec![0, 0]).expect("valid spec");
+    // The generic Fig. 1(a) -> Fig. 1(b,c) transformation: any spec is
+    // lowered once to a flat register-based instruction stream and becomes
+    // one BlockProgram, executed over columnar task stores.
+    let code = compile(&spec).expect("valid spec");
+    println!("compiled to {} instructions over {} registers:", code.instrs().len(), code.reg_count());
+    print!("{}", code.disassemble());
+    let prog = CompiledSpec::new(&spec, vec![0, 0]).expect("valid spec");
     for cfg in [
         SchedConfig::basic(16, 1 << 10),
         SchedConfig::reexpansion(16, 1 << 10),
@@ -34,7 +38,7 @@ fn main() {
     ] {
         let out = run_policy(&prog, cfg, None);
         println!(
-            "blocked {:<8} -> {}   ({} tasks, util {:.1}%)",
+            "compiled {:<8} -> {}   ({} tasks, util {:.1}%)",
             format!("{:?}", cfg.policy),
             out.reducer,
             out.stats.tasks_executed,
@@ -43,23 +47,16 @@ fn main() {
         assert_eq!(out.reducer, reference);
     }
 
-    // The compilation backend: the same spec lowered once to a flat
-    // register-based instruction stream, executed over flat task stores.
-    let code = compile(&spec).expect("valid spec");
-    println!("\ncompiled to {} instructions over {} registers:", code.instrs().len(), code.reg_count());
-    print!("{}", code.disassemble());
-    let fast = CompiledSpec::new(&spec, vec![0, 0]).expect("valid spec");
-    let out = run_policy(&fast, SchedConfig::restart(16, 1 << 10, 128), None);
-    println!("compiled restart -> {}   ({} tasks)", out.reducer, out.stats.tasks_executed);
-    assert_eq!(out.reducer, reference);
-
     // §5.2: a data-parallel foreach over initial calls, one task per
     // iteration, strip-mined by the scheduler.
     let calls: Vec<Vec<i64>> = (0..2000).map(|i| vec![i % 8, 0]).collect();
-    let dp = BlockedSpec::with_data_parallel(spec, calls).expect("valid spec");
+    // 250 copies of each of 8 distinct prefixes: interpret each once.
+    let want = 250 * (0..8).map(|open| interpret(&spec, &[open, 0])).sum::<i64>();
+    let dp = CompiledSpec::with_data_parallel(&spec, calls).expect("valid spec");
     let pool = ThreadPool::new(std::thread::available_parallelism().map_or(2, usize::from));
     let out = run_policy(&dp, SchedConfig::restart(16, 1 << 9, 64), Some(&pool));
     println!("\nforeach over 2000 partial prefixes, work-stealing restart: {}", out.reducer);
+    assert_eq!(out.reducer, want);
 
     // The service loop: ship *source text* to a shared runtime — parsed,
     // validated, compiled once (cached), scheduled; bad programs come back

@@ -21,8 +21,9 @@
 //!   streaming compaction;
 //! * [`model`] (`tb-model`) — explicit computation trees and the Theorem
 //!   1–4 bounds;
-//! * [`spec`] (`tb-spec`) — the §5 specification language, its interpreter
-//!   and the blocking transformation;
+//! * [`spec`] (`tb-spec`) — the §5 specification language: its reference
+//!   interpreter, and the blocking transformation as a compiler to scalar
+//!   and vector execution tiers;
 //! * [`suite`] (`tb-suite`) — the eleven benchmarks of the paper's
 //!   evaluation with serial / Cilk / blocked / SoA / SIMD variants.
 //!

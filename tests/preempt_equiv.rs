@@ -5,8 +5,7 @@
 //! `common::gen_spec`) are run with pseudo-random park/resume bursts and
 //! compared against uninterrupted runs: the reduction must be
 //! bit-identical AND the computation tree identical (same task count,
-//! same supersteps) — across both task-store layouts (column-major
-//! `ArgBlock`, row-major `RowArgBlock`), both execution tiers (scalar
+//! same supersteps) — across both execution tiers (scalar
 //! `CompiledSpec`, masked-lane `VectorSpec`), every boundary-producing
 //! scheduler config (basic BFE/DFE, re-expansion, restart parking with
 //! strip mining), and against all four scheduler implementations.
@@ -21,7 +20,6 @@ mod common;
 use common::{gen_spec, G};
 use proptest::prelude::*;
 use taskblocks::prelude::*;
-use taskblocks::spec::compile::RowArgBlock;
 use taskblocks::spec::{CompiledSpec, VectorSpec};
 
 /// Run `prog` under the stepping engine, parking at pseudo-random superstep
@@ -59,15 +57,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Parked-and-resumed runs ≡ uninterrupted runs for random programs:
-    /// same reduction, same task count, same supersteps — over both store
-    /// layouts and both execution tiers, and agreeing with every scheduler
-    /// implementation's result.
+    /// same reduction, same task count, same supersteps — over both
+    /// execution tiers, and agreeing with every scheduler implementation's
+    /// result.
     #[test]
     fn parked_runs_match_uninterrupted_runs(seed in any::<u64>(), park_seed in any::<u64>()) {
         let (spec, root) = gen_spec(seed);
         spec.validate().expect("generator only emits valid specs");
         let compiled = CompiledSpec::new(&spec, root.clone()).unwrap();
-        let code = std::sync::Arc::clone(compiled.code());
         // Restart config with small thresholds: parks land between BFE,
         // DFE, restart-scan and strip-mining supersteps alike.
         let cfg = SchedConfig::restart(4, 16, 8);
@@ -80,23 +77,11 @@ proptest! {
         prop_assert_eq!(parked.stats.supersteps, straight.stats.supersteps,
             "parking changed the superstep count");
 
-        // Row-major store layout.
-        let row = CompiledSpec::<RowArgBlock>::from_code_in(
-            std::sync::Arc::clone(&code), std::slice::from_ref(&root));
-        let (parked_row, _) = run_with_parks(&row, cfg, park_seed);
-        prop_assert_eq!(parked_row.reducer, straight.reducer, "row layout reduction");
-        prop_assert_eq!(parked_row.stats.tasks_executed, straight.stats.tasks_executed,
-            "row layout computation tree");
-
-        // Masked-lane vector tier, both layouts.
+        // Masked-lane vector tier.
         let simd = VectorSpec::from_code_with_width(
-            std::sync::Arc::clone(&code), std::slice::from_ref(&root), 4);
+            std::sync::Arc::clone(compiled.code()), std::slice::from_ref(&root), 4);
         let (parked_simd, _) = run_with_parks(&simd, cfg, park_seed);
         prop_assert_eq!(parked_simd.reducer, straight.reducer, "vector tier reduction");
-        let simd_row = VectorSpec::<RowArgBlock>::from_code_with_width_in(
-            std::sync::Arc::clone(&code), std::slice::from_ref(&root), 4);
-        let (parked_simd_row, _) = run_with_parks(&simd_row, cfg, park_seed);
-        prop_assert_eq!(parked_simd_row.reducer, straight.reducer, "vector/row reduction");
 
         // And the parked run agrees with all four scheduler
         // implementations (1 and 3 workers), so a job that parks under the

@@ -1,54 +1,43 @@
 //! The differential property test over the spec-language pipeline: random
 //! *valid* specs (see `common::gen_spec` — termination is by fuel
-//! construction), executed through all four backends — the recursive
-//! reference interpreter, the AST-walking `BlockedSpec`, the
-//! instruction-stream `CompiledSpec` and the masked-lane `VectorSpec`
-//! (`compiled_simd`, exercised at every monomorphized width 2/4/8, not
-//! just the host's detected one, and over both task-store layouts —
-//! the column-major `ArgBlock` default and the row-major `RowArgBlock`
-//! reference) — under all four schedulers at 1/2/4 workers. Every route must produce the identical (wrapping-`i64`)
-//! reduction, and the blocked backends must expand the identical
-//! computation tree (same task count), not merely agree on the answer.
+//! construction), executed through all three routes — the recursive
+//! reference interpreter, the instruction-stream `CompiledSpec` and the
+//! masked-lane `VectorSpec` (exercised at every monomorphized width
+//! 2/4/8, not just the host's detected one) — under all four schedulers at
+//! 1/2/4 workers. Every route must produce the identical (wrapping-`i64`)
+//! reduction, and the compiled tiers must expand the identical computation
+//! tree (same task count, same supersteps), not merely agree on the
+//! answer.
 
 mod common;
 
 use common::{gen_spec, G};
 use proptest::prelude::*;
 use taskblocks::prelude::*;
-use taskblocks::spec::compile::RowArgBlock;
-use taskblocks::spec::{interpret, BlockedSpec, CompiledSpec, VectorSpec};
+use taskblocks::spec::{interpret, CompiledSpec, VectorSpec};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// interpreter == BlockedSpec == CompiledSpec == VectorSpec, all four
-    /// schedulers, 1/2/4 workers, with thresholds small enough to exercise
-    /// restart parking and strip mining (and, for the vector tier, ragged
-    /// remainder peels at every width).
+    /// interpreter == CompiledSpec == VectorSpec, all four schedulers,
+    /// 1/2/4 workers, with thresholds small enough to exercise restart
+    /// parking and strip mining (and, for the vector tier, ragged remainder
+    /// peels at every width).
     #[test]
     fn backends_agree_on_random_specs(seed in any::<u64>()) {
         let (spec, root) = gen_spec(seed);
         spec.validate().expect("generator only emits valid specs");
         let want = interpret(&spec, &root);
 
-        let blocked = BlockedSpec::new(spec.clone(), root.clone()).unwrap();
         let compiled = CompiledSpec::new(&spec, root.clone()).unwrap();
         let cfg = SchedConfig::restart(4, 16, 8);
 
-        // Same computation tree, not just the same answer.
-        let b_seq = run_scheduler(SchedulerKind::Seq, &blocked, cfg, None);
         let c_seq = run_scheduler(SchedulerKind::Seq, &compiled, cfg, None);
-        prop_assert_eq!(b_seq.reducer, want, "blocked/seq vs interpreter");
         prop_assert_eq!(c_seq.reducer, want, "compiled/seq vs interpreter");
-        prop_assert_eq!(b_seq.stats.tasks_executed, c_seq.stats.tasks_executed,
-            "backends expanded different trees");
 
         // The vector tier at every monomorphized width: bit-identical
         // reduction AND the identical computation tree (same task count,
-        // same supersteps — the buckets must match block for block). Each
-        // width runs over both task-store layouts (the default column-major
-        // `ArgBlock` and the row-major `RowArgBlock` reference), which must
-        // also agree with each other block for block.
+        // same supersteps — the buckets must match block for block).
         let code = std::sync::Arc::clone(compiled.code());
         for q in [2usize, 4, 8] {
             let simd = VectorSpec::from_code_with_width(
@@ -59,29 +48,12 @@ proptest! {
                 "vector tier (q={}) expanded a different tree", q);
             prop_assert_eq!(s_seq.stats.supersteps, c_seq.stats.supersteps,
                 "vector tier (q={}) took different supersteps", q);
-            let simd_row = VectorSpec::<RowArgBlock>::from_code_with_width_in(
-                std::sync::Arc::clone(&code), std::slice::from_ref(&root), q);
-            let r_seq = run_scheduler(SchedulerKind::Seq, &simd_row, cfg, None);
-            prop_assert_eq!(r_seq.reducer, want, "simd[row]/seq q={} vs interpreter", q);
-            prop_assert_eq!(r_seq.stats.tasks_executed, s_seq.stats.tasks_executed,
-                "row layout (q={}) expanded a different tree", q);
-            prop_assert_eq!(r_seq.stats.supersteps, s_seq.stats.supersteps,
-                "row layout (q={}) took different supersteps", q);
         }
-        // The scalar compiled tier over the row layout agrees too.
-        let compiled_row = CompiledSpec::<RowArgBlock>::from_code_in(
-            std::sync::Arc::clone(&code), std::slice::from_ref(&root));
-        let cr_seq = run_scheduler(SchedulerKind::Seq, &compiled_row, cfg, None);
-        prop_assert_eq!(cr_seq.reducer, want, "compiled[row]/seq vs interpreter");
-        prop_assert_eq!(cr_seq.stats.tasks_executed, c_seq.stats.tasks_executed,
-            "row layout (scalar) expanded a different tree");
         let simd = VectorSpec::from_code_with_width(code, std::slice::from_ref(&root), 4);
 
         for threads in [1usize, 2, 4] {
             let pool = ThreadPool::new(threads);
             for kind in SchedulerKind::ALL {
-                let got = run_scheduler(kind, &blocked, cfg, Some(&pool)).reducer;
-                prop_assert_eq!(got, want, "blocked under {:?} w={}", kind, threads);
                 let got = run_scheduler(kind, &compiled, cfg, Some(&pool)).reducer;
                 prop_assert_eq!(got, want, "compiled under {:?} w={}", kind, threads);
                 let got = run_scheduler(kind, &simd, cfg, Some(&pool)).reducer;
@@ -101,7 +73,6 @@ proptest! {
             .collect();
         let want = taskblocks::spec::interp::interpret_data_parallel(&spec, &calls);
 
-        let blocked = BlockedSpec::with_data_parallel(spec.clone(), calls.clone()).unwrap();
         let compiled = CompiledSpec::with_data_parallel(&spec, calls.clone()).unwrap();
         // A root count that is rarely a multiple of the lane width makes
         // the foreach case exercise the vector tier's remainder peel on
@@ -112,8 +83,6 @@ proptest! {
         let cfg = SchedConfig::restart(4, 8, 4);
         let pool = ThreadPool::new(3);
         for kind in SchedulerKind::ALL {
-            prop_assert_eq!(run_scheduler(kind, &blocked, cfg, Some(&pool)).reducer, want,
-                "blocked foreach under {:?}", kind);
             prop_assert_eq!(run_scheduler(kind, &compiled, cfg, Some(&pool)).reducer, want,
                 "compiled foreach under {:?}", kind);
             prop_assert_eq!(run_scheduler(kind, &simd, cfg, Some(&pool)).reducer, want,
