@@ -20,18 +20,20 @@
 //!   admission scheduler ([`sched`]) splits pool slots by weight within a
 //!   priority class (stride-style deficit accounting, so a flooding heavy
 //!   tenant cannot starve a light one) and strictly by priority across
-//!   classes, while per-tenant gates block or shed each tenant's *own*
-//!   oversubscribing clients; the pool's *segmented unbounded* injector
-//!   (`tb_runtime::injector`) guarantees admitted submissions never
-//!   spin-block;
+//!   classes, and the same scheduler's per-tenant live count is the
+//!   backpressure bound: a tenant at `max_pending` blocks (`submit_*`) or
+//!   sheds (`try_submit_*`) its *own* oversubscribing clients; the pool's
+//!   *segmented unbounded* injector (`tb_runtime::injector`) guarantees
+//!   admitted submissions never spin-block;
 //! * **preemptible jobs** — [`Runtime::submit_preemptible`] work parks at
 //!   a superstep boundary when a higher-priority tenant needs its slot:
 //!   the job's frontier swaps out into a bounded park pool and resumes
 //!   later with bit-identical results (the paper's superstep structure is
 //!   the preemption seam — between supersteps the engine's entire state
 //!   is its frontier);
-//! * **spec-source jobs** — [`Runtime::submit_spec`] accepts a program the
-//!   service has never seen before as spec-language *source text*: the
+//! * **spec-source jobs** — [`Runtime::submit_spec_foreach_tier_as`]
+//!   accepts a program the service has never seen before as spec-language
+//!   *source text*: the
 //!   runtime parses, validates and lowers it once (`tb_spec::compile`,
 //!   cached by source), schedules the compiled program under any
 //!   scheduler kind, and surfaces parse/validate failures through the
@@ -40,26 +42,32 @@
 //!
 //! ```
 //! use tb_core::prelude::*;
-//! use tb_service::Runtime;
+//! use tb_service::{Runtime, DEFAULT_TENANT};
+//! use tb_spec::SpecTier;
 //!
 //! let rt = Runtime::new(2);
-//! let h = rt.submit_spec(
+//! let h = rt.submit_spec_foreach_tier_as(
+//!     DEFAULT_TENANT,
 //!     "spec fib(n) { base (n < 2) { reduce n; } else { spawn fib(n - 1); spawn fib(n - 2); } }",
-//!     vec![20],
+//!     vec![vec![20]], // one root call; several would be a data-parallel foreach
 //!     SchedConfig::restart(8, 1 << 10, 64),
 //!     SchedulerKind::RestartSimplified,
+//!     SpecTier::Auto,
 //! );
 //! assert_eq!(h.wait(), Ok(6765));
 //! ```
 //!
-//! The segment lifecycle, the backpressure rule and the worker parking
-//! protocol are documented in DESIGN.md §7.
+//! Every entry point names its tenant ([`DEFAULT_TENANT`] for callers that
+//! have none) and, for spec source, its execution tier: there is one
+//! blocking and one shedding form of each submission, not a family of
+//! defaulted shorthands. The segment lifecycle, the backpressure rule and
+//! the worker parking protocol are documented in DESIGN.md §7.
 //!
 //! # Quick start
 //!
 //! ```
 //! use tb_core::prelude::*;
-//! use tb_service::{Runtime, RuntimeConfig};
+//! use tb_service::{Runtime, RuntimeConfig, DEFAULT_TENANT};
 //!
 //! /// Count the leaves of a depth-n binary tree (any BlockProgram works).
 //! struct Tree(u32);
@@ -84,8 +92,13 @@
 //! let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 16, ..RuntimeConfig::default() });
 //!
 //! // Mixed jobs in flight concurrently, each with its own scheduler.
-//! let a = rt.submit(Tree(10), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
-//! let b = rt.submit(Tree(12), SchedConfig::restart(4, 64, 16), SchedulerKind::RestartSimplified);
+//! let a = rt.submit_as(DEFAULT_TENANT, Tree(10), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+//! let b = rt.submit_as(
+//!     DEFAULT_TENANT,
+//!     Tree(12),
+//!     SchedConfig::restart(4, 64, 16),
+//!     SchedulerKind::RestartSimplified,
+//! );
 //! assert_eq!(a.wait(), Ok(1 << 10));
 //! assert_eq!(b.wait(), Ok(1 << 12));
 //!
@@ -101,7 +114,7 @@
 //! assert!(total > 0);
 //!
 //! // Cancellation is cooperative and drop is detach, not cancel.
-//! let big = rt.submit(Tree(28), SchedConfig::basic(4, 1024), SchedulerKind::ReExpansion);
+//! let big = rt.submit_as(DEFAULT_TENANT, Tree(28), SchedConfig::basic(4, 1024), SchedulerKind::ReExpansion);
 //! big.cancel();
 //! let _ = big.wait(); // Err(Cancelled), or Ok(_) if it finished first — never a hang
 //!
@@ -110,7 +123,6 @@
 //! ```
 
 mod bulk;
-mod gate;
 mod handle;
 mod runtime;
 pub mod sched;

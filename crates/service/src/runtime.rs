@@ -15,12 +15,12 @@ use tb_spec::{compile, parse_spec, CompiledSpec, SpecCode, SpecTier, VectorSpec}
 use crate::bulk::{adaptive_chunk_len, BulkCore, BulkHandle};
 use crate::handle::{JobCore, JobError, JobHandle};
 use crate::sched::{
-    Admission, AdmissionPolicy, FinishObserver, JobId, PreemptFlag, TenantId, TenantSnapshot, TenantSpec,
+    Admission, FinishObserver, JobId, Mode, PreemptFlag, ReadyJob, TenantId, TenantSnapshot, TenantSpec,
 };
 
-/// The tenant every runtime is born with; tenant-unaware entry points
-/// ([`Runtime::submit`], [`Runtime::submit_fn`], [`Runtime::submit_bulk`],
-/// [`Runtime::submit_spec`]…) run as this tenant (weight 1, priority 0).
+/// The tenant every runtime is born with (weight 1, priority 0): what
+/// tenant-unaware callers pass to [`Runtime::submit_as`] and friends, and
+/// the tenant [`Runtime::submit_bulk`] chunks run as.
 pub const DEFAULT_TENANT: TenantId = 0;
 
 /// Construction parameters for a [`Runtime`].
@@ -30,9 +30,9 @@ pub struct RuntimeConfig {
     /// available parallelism.
     pub threads: usize,
     /// Pool-side admission bound: jobs *running* on the pool at once
-    /// (scheduler jobs, closure jobs and bulk *chunks* all count as one
-    /// each). Jobs admitted past a tenant's gate but beyond this bound
-    /// wait in the scheduler's queues. Defaults to `8 × threads` — enough
+    /// (scheduler jobs and bulk *chunks* count as one each). Jobs accepted
+    /// under their tenant's pending bound but beyond this one wait in the
+    /// scheduler's queues. Defaults to `8 × threads` — enough
     /// depth to keep every worker fed through job-boundary gaps, small
     /// enough that queueing delay stays bounded by a few job service
     /// times. It is also the default tenant's `max_pending`, so
@@ -42,17 +42,12 @@ pub struct RuntimeConfig {
     /// Bounded park pool: preempted job frontiers held swapped-out at
     /// once. `0` disables preemption. Defaults to `2 × threads`.
     pub max_parked: usize,
-    /// Legacy admission: tenant-blind global FIFO with no weights, no
-    /// priorities and no preemption — the old global gate's discipline.
-    /// Kept as the A/B arm for the starvation regression test; leave
-    /// `false` in production.
-    pub fifo: bool,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        RuntimeConfig { threads, max_inflight: threads * 8, max_parked: threads * 2, fifo: false }
+        RuntimeConfig { threads, max_inflight: threads * 8, max_parked: threads * 2 }
     }
 }
 
@@ -70,7 +65,8 @@ pub struct ServiceStats {
     /// Spec submissions rejected before reaching a worker (parse/validate
     /// failures, root-arity mismatches; see [`JobError::Rejected`]).
     pub rejected: u64,
-    /// Spec sources compiled ([`Runtime::submit_spec`] cache misses).
+    /// Spec sources compiled ([`Runtime::submit_spec_foreach_tier_as`]
+    /// cache misses).
     pub spec_compiles: u64,
     /// Spec submissions served from the compile-once cache.
     pub spec_cache_hits: u64,
@@ -90,7 +86,8 @@ pub struct ServiceStats {
     pub max_inflight: usize,
     /// The park-pool bound ([`RuntimeConfig::max_parked`]).
     pub max_parked: usize,
-    /// Times a submitter blocked on its tenant's gate (backpressure).
+    /// Times a submitter blocked at its tenant's pending bound
+    /// (backpressure).
     pub backpressure_waits: u64,
     /// Per-tenant queue depths and counters, indexed by [`TenantId`].
     pub tenants: Vec<TenantSnapshot>,
@@ -119,7 +116,7 @@ pub struct RuntimeLoad {
     pub threads: usize,
     /// Jobs occupying pool slots (running or preempting).
     pub running: usize,
-    /// Jobs admitted past their gate but waiting for a pool slot.
+    /// Jobs accepted but waiting for a pool slot.
     pub waiting: usize,
     /// Preempted jobs currently swapped out.
     pub parked: usize,
@@ -135,7 +132,6 @@ impl RuntimeLoad {
 
 #[derive(Default)]
 struct Counters {
-    submitted: AtomicU64,
     completed: AtomicU64,
     cancelled: AtomicU64,
     panicked: AtomicU64,
@@ -145,14 +141,14 @@ struct Counters {
 }
 
 impl Counters {
-    fn finish(&self, outcome: &Result<(), JobError>) {
+    fn finish<R>(&self, outcome: &Result<R, JobError>) {
         match outcome {
-            Ok(()) => self.completed.fetch_add(1, Ordering::Relaxed),
+            Ok(_) => self.completed.fetch_add(1, Ordering::Relaxed),
             Err(JobError::Cancelled) => self.cancelled.fetch_add(1, Ordering::Relaxed),
             Err(JobError::Panicked) => self.panicked.fetch_add(1, Ordering::Relaxed),
             // Rejections never reach a worker (nothing was admitted), so
-            // this arm is unreachable from `finish` callers; counted
-            // defensively all the same.
+            // this arm is unreachable from `retire`; counted defensively
+            // all the same.
             Err(JobError::Rejected(_)) => self.rejected.fetch_add(1, Ordering::Relaxed),
         };
     }
@@ -168,11 +164,11 @@ struct Inner {
     // `WorkerCtx::spawn` for the same reason.
     admission: Arc<Admission>,
     counters: Arc<Counters>,
-    // Compile-once cache for `submit_spec`: source text -> lowered code.
-    // Keyed by the exact source string (no hashing shortcuts: a collision
-    // would silently run the wrong program). Guarded by a plain mutex —
-    // compilation is microseconds and submissions are already a
-    // gate-crossing slow path.
+    // Compile-once cache for spec submissions: source text -> lowered
+    // code. Keyed by the exact source string (no hashing shortcuts: a
+    // collision would silently run the wrong program). Guarded by a plain
+    // mutex — compilation is microseconds and submissions already take
+    // the admission lock.
     spec_cache: parking_lot::Mutex<SpecCache>,
 }
 
@@ -255,11 +251,7 @@ impl Runtime {
 
     /// A runtime from explicit parameters.
     pub fn with_config(cfg: RuntimeConfig) -> Self {
-        let admission = Arc::new(Admission::new(AdmissionPolicy {
-            max_running: cfg.max_inflight.max(1),
-            max_parked: cfg.max_parked,
-            fifo: cfg.fifo,
-        }));
+        let admission = Arc::new(Admission::new(cfg.max_inflight.max(1), cfg.max_parked));
         let default = admission.add_tenant(TenantSpec::new("default", cfg.max_inflight.max(1)));
         debug_assert_eq!(default, DEFAULT_TENANT);
         Runtime {
@@ -316,16 +308,20 @@ impl Runtime {
         self.inner.admission.set_finish_observer(f);
     }
 
-    /// Lifetime counters snapshot.
+    /// Lifetime counters snapshot. Everything the admission scheduler
+    /// also counts per tenant (`submitted`, `preemptions`, `resumes`,
+    /// `backpressure_waits`) is the sum over [`ServiceStats::tenants`], not
+    /// a second counter.
     pub fn stats(&self) -> ServiceStats {
         let c = &self.inner.counters;
         let adm = &self.inner.admission;
         let (inflight, waiting, parked, parked_tasks) = adm.queue_depths();
         let policy = adm.policy();
-        let (preemptions, resumes) = adm.preemption_totals();
+        let tenants = adm.snapshot();
+        let total = |f: fn(&TenantSnapshot) -> u64| tenants.iter().map(f).sum();
         let (dropped_events, trace_bytes) = tb_obs::trace_totals();
         ServiceStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
+            submitted: total(|t| t.counters.submitted),
             completed: c.completed.load(Ordering::Relaxed),
             cancelled: c.cancelled.load(Ordering::Relaxed),
             panicked: c.panicked.load(Ordering::Relaxed),
@@ -336,22 +332,24 @@ impl Runtime {
             waiting,
             parked,
             parked_tasks,
-            preemptions,
-            resumes,
+            preemptions: total(|t| t.counters.preemptions),
+            resumes: total(|t| t.counters.resumes),
             max_inflight: policy.max_running,
             max_parked: policy.max_parked,
-            backpressure_waits: adm.backpressure_waits(),
-            tenants: adm.snapshot(),
+            backpressure_waits: total(|t| t.backpressure_waits),
+            tenants,
             injector: self.inner.pool.injector_metrics(),
             dropped_events,
             trace_bytes,
         }
     }
 
-    /// Submit `prog` to run under `kind` with `cfg` as the default tenant,
-    /// blocking only if that tenant is at its pending bound (the
-    /// backpressure gate). Returns immediately with a handle; the run
-    /// happens on the pool.
+    /// Submit `prog` to run under `kind` with `cfg` on behalf of `tenant`
+    /// ([`DEFAULT_TENANT`] for tenant-unaware callers), blocking only while
+    /// that tenant is at its `max_pending` bound — saturation blocks only
+    /// `tenant`'s own submitters. Returns immediately with a handle; the
+    /// run happens on the pool, admitted in the tenant's weight order
+    /// within its priority class and strict priority order across classes.
     ///
     /// Scheduler choice per job: [`SchedulerKind::Seq`],
     /// [`SchedulerKind::ReExpansion`] and [`SchedulerKind::RestartSimplified`]
@@ -359,34 +357,6 @@ impl Runtime {
     /// [`SchedulerKind::RestartIdeal`] spawns its own dedicated threads per
     /// job (see `run_scheduler_on_ctx`) and is meant for measurement, not
     /// service traffic.
-    pub fn submit<P>(&self, prog: P, cfg: SchedConfig, kind: SchedulerKind) -> JobHandle<P::Reducer>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        self.submit_as(DEFAULT_TENANT, prog, cfg, kind)
-    }
-
-    /// Like [`Runtime::submit`], but sheds load instead of blocking: when
-    /// the tenant is at its pending bound the program is handed back
-    /// unchanged.
-    pub fn try_submit<P>(
-        &self,
-        prog: P,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> Result<JobHandle<P::Reducer>, P>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        self.try_submit_as(DEFAULT_TENANT, prog, cfg, kind)
-    }
-
-    /// [`Runtime::submit`] on behalf of a registered tenant: admission
-    /// order follows the tenant's weight within its priority class and
-    /// strict priority across classes; saturation blocks only `tenant`'s
-    /// own submitters.
     ///
     /// # Panics
     /// If `tenant` was never registered.
@@ -401,11 +371,12 @@ impl Runtime {
         P: BlockProgram + Send + 'static,
         P::Reducer: Send + 'static,
     {
-        self.inner.admission.gate(tenant).acquire();
-        self.spawn_admitted_as(tenant, prog, cfg, kind)
+        admitted(self.enqueue_job(tenant, Mode::Block, prog, cfg, kind))
     }
 
-    /// [`Runtime::try_submit`] on behalf of a registered tenant.
+    /// Like [`Runtime::submit_as`], but sheds load instead of blocking:
+    /// when `tenant` is at its pending bound the program is handed back
+    /// unchanged.
     ///
     /// # Panics
     /// If `tenant` was never registered.
@@ -420,10 +391,7 @@ impl Runtime {
         P: BlockProgram + Send + 'static,
         P::Reducer: Send + 'static,
     {
-        if !self.inner.admission.gate(tenant).try_acquire() {
-            return Err(prog);
-        }
-        Ok(self.spawn_admitted_as(tenant, prog, cfg, kind))
+        self.enqueue_job(tenant, Mode::Shed, prog, cfg, kind)
     }
 
     /// Submit a *preemptible* job for `tenant`: the program runs under the
@@ -435,8 +403,9 @@ impl Runtime {
     /// round-trip property; see `tests/preempt_equiv.rs`).
     ///
     /// This is the submission path for batch work that should yield to
-    /// interactive traffic. Parallel scheduler jobs ([`Runtime::submit`])
-    /// are never preempted — they occupy their slot until completion.
+    /// interactive traffic. Parallel scheduler jobs
+    /// ([`Runtime::submit_as`]) are never preempted — they occupy their
+    /// slot until completion.
     ///
     /// # Panics
     /// If `tenant` was never registered.
@@ -446,74 +415,36 @@ impl Runtime {
         P::Store: Send + 'static,
         P::Reducer: Send + 'static,
     {
-        self.inner.admission.gate(tenant).acquire();
-        self.enqueue_preemptible(tenant, prog, cfg)
-    }
-
-    /// Like [`Runtime::submit_preemptible`], but sheds load instead of
-    /// blocking when `tenant` is at its pending bound.
-    ///
-    /// # Panics
-    /// If `tenant` was never registered.
-    pub fn try_submit_preemptible<P>(
-        &self,
-        tenant: TenantId,
-        prog: P,
-        cfg: SchedConfig,
-    ) -> Result<JobHandle<P::Reducer>, P>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Store: Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        if !self.inner.admission.gate(tenant).try_acquire() {
-            return Err(prog);
-        }
-        Ok(self.enqueue_preemptible(tenant, prog, cfg))
-    }
-
-    /// Submit a plain closure as a job (no scheduler run): `f` executes on
-    /// one worker; the handle behaves like any job handle. Cancelling
-    /// before a worker picks the job up skips `f` entirely; once `f` is
-    /// running it is not interrupted (closures have no block boundaries to
-    /// cancel at).
-    pub fn submit_fn<R, F>(&self, f: F) -> JobHandle<R>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
-        self.inner.admission.gate(DEFAULT_TENANT).acquire();
-        self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let core = Arc::new(JobCore::new());
         let token = core.cancel_token();
-        let (worker_core, adm, counters) =
-            (Arc::clone(&core), Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
-        let (_, ready) = self.inner.admission.enqueue(DEFAULT_TENANT, false, None, move |id| {
-            Box::new(move |ctx: &WorkerCtx<'_>| {
-                let result = if token.is_cancelled() {
-                    Err(JobError::Cancelled)
-                } else {
-                    match catch_unwind(AssertUnwindSafe(f)) {
-                        Ok(v) => Ok(v),
-                        Err(_) => Err(JobError::Panicked),
-                    }
-                };
-                counters.finish(&result.as_ref().map(|_| ()).map_err(Clone::clone));
-                for job in adm.finished(id) {
-                    ctx.spawn(job);
-                }
-                worker_core.complete(result);
-            })
-        });
-        self.dispatch(ready);
+        let flag: PreemptFlag = Arc::new(AtomicBool::new(false));
+        let (worker_core, driver_flag) = (Arc::clone(&core), Arc::clone(&flag));
+        let (adm, counters) = (Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
+        admitted(self.enqueue(tenant, Mode::Block, Some(flag), prog, move |id, prog| {
+            let run = PreemptibleRun {
+                prog: Cancellable::new(prog, token.clone()),
+                frontier: None,
+                cfg,
+                core: worker_core,
+                token,
+                flag: driver_flag,
+                adm,
+                counters,
+                id,
+            };
+            Box::new(move |ctx: &WorkerCtx<'_>| drive_preemptible(run, ctx))
+        }));
         JobHandle::new(core)
     }
 
-    /// Submit a spec-language program *as source text*: the runtime
-    /// parses, validates and lowers it through [`tb_spec::compile()`] once,
-    /// then schedules the compiled program under `kind` like any other
-    /// job. This is the "work the service has never seen before" path —
-    /// a client ships a program, not a type.
+    /// Submit a spec-language program *as source text* on behalf of
+    /// `tenant`: the runtime parses, validates and lowers it through
+    /// [`tb_spec::compile()`] once, then schedules the compiled program
+    /// under `kind` like any other job — one level-0 task per tuple of
+    /// `calls` (a single root call is `vec![args]`; several are a §5.2
+    /// data-parallel `foreach`, strip-mined by the scheduler). This is the
+    /// "work the service has never seen before" path — a client ships a
+    /// program, not a type.
     ///
     /// Compilation is cached by source text: resubmitting the same source
     /// (any args) reuses the lowered instruction stream
@@ -523,65 +454,14 @@ impl Runtime {
     /// validate, or a root tuple whose length does not match the method's
     /// parameter count, completes the returned handle immediately with
     /// [`JobError::Rejected`] carrying the located diagnostic (for parse
-    /// errors, a caret line into the client's source).
+    /// errors, a caret line into the client's source), without counting
+    /// against `tenant`'s pending bound.
+    ///
     /// Execution tier: [`SpecTier::Auto`] picks the vector tier at the
     /// host's detected lane width (`tb_spec::detected_lane_width`) and the
     /// scalar tier on SIMD-less hosts — safe because the tiers are
-    /// bit-identical; [`Runtime::submit_spec_tier`] pins one explicitly.
-    pub fn submit_spec(
-        &self,
-        source: &str,
-        args: Vec<i64>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> JobHandle<i64> {
-        self.submit_spec_foreach_tier(source, vec![args], cfg, kind, SpecTier::Auto)
-    }
-
-    /// Like [`Runtime::submit_spec`] with an explicit execution tier
+    /// bit-identical; [`SpecTier::Scalar`] / [`SpecTier::Simd`] pin one
     /// (scalar instruction loop vs `Q`-lane masked vector execution).
-    pub fn submit_spec_tier(
-        &self,
-        source: &str,
-        args: Vec<i64>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-        tier: SpecTier,
-    ) -> JobHandle<i64> {
-        self.submit_spec_foreach_tier(source, vec![args], cfg, kind, tier)
-    }
-
-    /// Like [`Runtime::submit_spec`], but over a §5.2 data-parallel
-    /// `foreach`: one level-0 task per argument tuple, strip-mined by the
-    /// scheduler. Runs at the [`SpecTier::Auto`] execution tier.
-    pub fn submit_spec_foreach(
-        &self,
-        source: &str,
-        calls: Vec<Vec<i64>>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> JobHandle<i64> {
-        self.submit_spec_foreach_tier(source, calls, cfg, kind, SpecTier::Auto)
-    }
-
-    /// Like [`Runtime::submit_spec_foreach`] with an explicit execution
-    /// tier.
-    pub fn submit_spec_foreach_tier(
-        &self,
-        source: &str,
-        calls: Vec<Vec<i64>>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-        tier: SpecTier,
-    ) -> JobHandle<i64> {
-        self.submit_spec_foreach_tier_as(DEFAULT_TENANT, source, calls, cfg, kind, tier)
-    }
-
-    /// [`Runtime::submit_spec_foreach_tier`] on behalf of a registered
-    /// tenant: the submission passes `tenant`'s gate and is scheduled
-    /// under its weight and priority. Parse/validate/arity failures
-    /// complete the handle with [`JobError::Rejected`] without consuming
-    /// a gate slot.
     ///
     /// # Panics
     /// If `tenant` was never registered.
@@ -594,12 +474,7 @@ impl Runtime {
         kind: SchedulerKind,
         tier: SpecTier,
     ) -> JobHandle<i64> {
-        let code = match self.validate_spec(source, &calls) {
-            Ok(code) => code,
-            Err(diag) => return self.reject(tenant, diag),
-        };
-        self.inner.admission.gate(tenant).acquire();
-        self.spawn_spec_admitted(tenant, code, calls, cfg, kind, tier)
+        admitted(self.enqueue_spec(tenant, Mode::Block, source, calls, cfg, kind, tier))
     }
 
     /// Like [`Runtime::submit_spec_foreach_tier_as`], but sheds load
@@ -619,14 +494,38 @@ impl Runtime {
         kind: SchedulerKind,
         tier: SpecTier,
     ) -> Result<JobHandle<i64>, Vec<Vec<i64>>> {
+        self.enqueue_spec(tenant, Mode::Shed, source, calls, cfg, kind, tier)
+    }
+
+    /// Validate `source` against `calls` (a failure is a pre-completed
+    /// [`JobError::Rejected`] handle, whatever the mode) and enqueue the
+    /// compiled program at `tier`.
+    #[allow(clippy::too_many_arguments)]
+    fn enqueue_spec(
+        &self,
+        tenant: TenantId,
+        mode: Mode,
+        source: &str,
+        calls: Vec<Vec<i64>>,
+        cfg: SchedConfig,
+        kind: SchedulerKind,
+        tier: SpecTier,
+    ) -> Result<JobHandle<i64>, Vec<Vec<i64>>> {
         let code = match self.validate_spec(source, &calls) {
             Ok(code) => code,
             Err(diag) => return Ok(self.reject(tenant, diag)),
         };
-        if !self.inner.admission.gate(tenant).try_acquire() {
-            return Err(calls);
-        }
-        Ok(self.spawn_spec_admitted(tenant, code, calls, cfg, kind, tier))
+        let lanes = tier.lane_width().max(1);
+        let enqueued = match lanes {
+            1 => self.enqueue_job(tenant, mode, CompiledSpec::from_code(code, &calls), cfg, kind).ok(),
+            q => self
+                .enqueue_job(tenant, mode, VectorSpec::from_code_with_width(code, &calls, q), cfg, kind)
+                .ok(),
+        };
+        let Some(handle) = enqueued else { return Err(calls) };
+        // arg0 = effective lane width (1 = scalar tier), arg = root calls.
+        tb_obs::record(EventKind::SpecDispatch, lanes as u32, calls.len() as u64);
+        Ok(handle)
     }
 
     /// Compile `source` (cached) and check every root call's arity.
@@ -641,24 +540,6 @@ impl Runtime {
             ));
         }
         Ok(code)
-    }
-
-    /// Dispatch validated, gated spec code at `tier`.
-    fn spawn_spec_admitted(
-        &self,
-        tenant: TenantId,
-        code: Arc<SpecCode>,
-        calls: Vec<Vec<i64>>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-        tier: SpecTier,
-    ) -> JobHandle<i64> {
-        // arg0 = effective lane width (1 = scalar tier), arg = root calls.
-        tb_obs::record(EventKind::SpecDispatch, tier.lane_width().max(1) as u32, calls.len() as u64);
-        match tier.lane_width() {
-            0 | 1 => self.spawn_admitted_as(tenant, CompiledSpec::from_code(code, &calls), cfg, kind),
-            q => self.spawn_admitted_as(tenant, VectorSpec::from_code_with_width(code, &calls, q), cfg, kind),
-        }
     }
 
     /// Look up `source` in the compile-once LRU cache, lowering on a miss.
@@ -694,10 +575,10 @@ impl Runtime {
     /// every chunk as its own admitted job. The returned handle aggregates
     /// the per-chunk reductions in input order.
     ///
-    /// Chunks pass the default tenant's backpressure gate like everything
-    /// else, one slot per chunk, so a huge bulk submission blocks *its
-    /// own* submitter once the tenant saturates rather than starving
-    /// other tenants behind an unbounded queue.
+    /// Chunks count against the default tenant's pending bound like
+    /// everything else, one job per chunk, so a huge bulk submission
+    /// blocks *its own* submitter once the tenant saturates rather than
+    /// starving other tenants behind an unbounded queue.
     pub fn submit_bulk<I, P, F>(
         &self,
         items: Vec<I>,
@@ -723,115 +604,117 @@ impl Runtime {
         for index in 0..chunks {
             let rest = items.split_off(chunk_len.min(items.len()));
             let chunk = std::mem::replace(&mut items, rest);
-            self.inner.admission.gate(DEFAULT_TENANT).acquire();
-            self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
             let (core, token, make) = (Arc::clone(&core), token.clone(), Arc::clone(&make));
             let (adm, counters) = (Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
-            let (_, ready) = self.inner.admission.enqueue(DEFAULT_TENANT, false, None, move |id| {
+            admitted(self.enqueue(DEFAULT_TENANT, Mode::Block, None, chunk, move |id, chunk| {
                 Box::new(move |ctx: &WorkerCtx<'_>| {
                     // The chunk-builder runs inside the catch too: a panic in
                     // `make` must route to JobError::Panicked and free the
                     // admission slot, not escape to the pool's backstop.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let prog = Cancellable::new(make(chunk), token.clone());
-                        run_scheduler_on_ctx(kind, &prog, cfg, ctx)
-                    }));
-                    let result = match outcome {
-                        Ok(_) if token.is_cancelled() => Err(JobError::Cancelled),
-                        Ok(out) => Ok(out.reducer),
-                        Err(_) => Err(JobError::Panicked),
-                    };
-                    counters.finish(&result.as_ref().map(|_| ()).map_err(Clone::clone));
-                    for job in adm.finished(id) {
-                        ctx.spawn(job);
-                    }
-                    core.complete_chunk(index, result);
+                    let result = run_job(|| make(chunk), &token, cfg, kind, ctx);
+                    core.complete_chunk(index, retire(&adm, &counters, ctx, id, result));
                 })
-            });
-            self.dispatch(ready);
+            }));
         }
         debug_assert!(items.is_empty(), "chunking consumed every item");
         BulkHandle::new(core, chunks)
     }
 
-    /// Spawn jobs the scheduler released on a *client* path (we hold no
-    /// worker context here). Worker-side completions use
-    /// `WorkerCtx::spawn` instead — see [`drive_preemptible`] and the job
-    /// closures.
-    fn dispatch(&self, ready: Vec<crate::sched::ReadyJob>) {
-        for job in ready {
-            self.inner.pool.spawn(job);
-        }
-    }
-
-    /// Enqueue an already-gated non-preemptible scheduler job for `tenant`.
-    fn spawn_admitted_as<P>(
+    /// The one enqueue: pass `tenant`'s pending bound in `mode` (see
+    /// [`Admission::enqueue`]; `Err` hands `payload` back on a shed) and
+    /// spawn whatever the scheduler released. This is a *client* path — we
+    /// hold no worker context — so released jobs go through the pool
+    /// handle; worker-side completions use `WorkerCtx::spawn` instead (see
+    /// [`retire`]).
+    fn enqueue<T>(
         &self,
         tenant: TenantId,
+        mode: Mode,
+        flag: Option<PreemptFlag>,
+        payload: T,
+        make_job: impl FnOnce(JobId, T) -> ReadyJob,
+    ) -> Result<(), T> {
+        for job in self.inner.admission.enqueue(tenant, mode, flag, payload, make_job)? {
+            self.inner.pool.spawn(job);
+        }
+        Ok(())
+    }
+
+    /// Enqueue a non-preemptible scheduler job for `tenant`.
+    fn enqueue_job<P>(
+        &self,
+        tenant: TenantId,
+        mode: Mode,
         prog: P,
         cfg: SchedConfig,
         kind: SchedulerKind,
-    ) -> JobHandle<P::Reducer>
+    ) -> Result<JobHandle<P::Reducer>, P>
     where
         P: BlockProgram + Send + 'static,
         P::Reducer: Send + 'static,
     {
-        self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let core = Arc::new(JobCore::new());
         let token = core.cancel_token();
         let (worker_core, adm, counters) =
             (Arc::clone(&core), Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
-        let (_, ready) = self.inner.admission.enqueue(tenant, false, None, move |id| {
+        self.enqueue(tenant, mode, None, prog, move |id, prog| {
             Box::new(move |ctx: &WorkerCtx<'_>| {
-                let prog = Cancellable::new(prog, token.clone());
-                let outcome = catch_unwind(AssertUnwindSafe(|| run_scheduler_on_ctx(kind, &prog, cfg, ctx)));
-                let result = match outcome {
-                    Ok(_) if token.is_cancelled() => Err(JobError::Cancelled),
-                    Ok(out) => Ok(out.reducer),
-                    Err(_) => Err(JobError::Panicked),
-                };
-                counters.finish(&result.as_ref().map(|_| ()).map_err(Clone::clone));
-                for job in adm.finished(id) {
-                    ctx.spawn(job);
-                }
-                worker_core.complete(result);
+                let result = run_job(|| prog, &token, cfg, kind, ctx);
+                worker_core.complete(retire(&adm, &counters, ctx, id, result));
             })
-        });
-        self.dispatch(ready);
-        JobHandle::new(core)
+        })?;
+        Ok(JobHandle::new(core))
     }
+}
 
-    /// Enqueue an already-gated preemptible job for `tenant`.
-    fn enqueue_preemptible<P>(&self, tenant: TenantId, prog: P, cfg: SchedConfig) -> JobHandle<P::Reducer>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Store: Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        let core = Arc::new(JobCore::new());
-        let token = core.cancel_token();
-        let flag: PreemptFlag = Arc::new(AtomicBool::new(false));
-        let (worker_core, adm, counters) =
-            (Arc::clone(&core), Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
-        let driver_flag = Arc::clone(&flag);
-        let (_, ready) = self.inner.admission.enqueue(tenant, true, Some(flag), move |id| {
-            let run = PreemptibleRun {
-                prog: Cancellable::new(prog, token.clone()),
-                frontier: None,
-                cfg,
-                core: worker_core,
-                token,
-                flag: driver_flag,
-                adm,
-                counters,
-                id,
-            };
-            Box::new(move |ctx: &WorkerCtx<'_>| drive_preemptible(run, ctx))
-        });
-        self.dispatch(ready);
-        JobHandle::new(core)
+/// Unwrap a [`Mode::Block`] enqueue, which waits instead of shedding.
+fn admitted<H, T>(enqueued: Result<H, T>) -> H {
+    match enqueued {
+        Ok(handle) => handle,
+        Err(_) => unreachable!("a blocking enqueue never sheds"),
     }
+}
+
+/// Run the program `make` builds under `kind` on this worker, containing
+/// a panic (in `make` too) as [`JobError::Panicked`] and reporting a run
+/// that drained after cancellation as [`JobError::Cancelled`].
+fn run_job<P: BlockProgram>(
+    make: impl FnOnce() -> P,
+    token: &CancelToken,
+    cfg: SchedConfig,
+    kind: SchedulerKind,
+    ctx: &WorkerCtx<'_>,
+) -> Result<P::Reducer, JobError> {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let prog = Cancellable::new(make(), token.clone());
+        run_scheduler_on_ctx(kind, &prog, cfg, ctx)
+    }));
+    match outcome {
+        Ok(_) if token.is_cancelled() => Err(JobError::Cancelled),
+        Ok(out) => Ok(out.reducer),
+        Err(_) => Err(JobError::Panicked),
+    }
+}
+
+/// The one job epilogue, run by the worker that finished job `id`: take
+/// the job off the admission scheduler's books, spawn the follow-on jobs
+/// that released (through the worker, never a pool handle — see `Inner`),
+/// count the outcome, and return `result` for the caller to publish on its
+/// handle. The outcome counter moves after the books and publishing comes
+/// last, so whichever of the two a client waits on — a dropped handle
+/// leaves only [`Runtime::stats`] to poll — it finds the queues settled.
+fn retire<R>(
+    adm: &Admission,
+    counters: &Counters,
+    ctx: &WorkerCtx<'_>,
+    id: JobId,
+    result: Result<R, JobError>,
+) -> Result<R, JobError> {
+    for job in adm.finished(id) {
+        ctx.spawn(job);
+    }
+    counters.finish(&result);
+    result
 }
 
 /// Everything a preemptible job carries between run segments: the program,
@@ -887,7 +770,7 @@ where
         }
         Segment::Done(sched.into_output())
     }));
-    match outcome {
+    let result = match outcome {
         Ok(Segment::Parked(frontier)) => {
             let tasks = frontier.tasks();
             // arg = job id so the exporter can pair this with the
@@ -897,27 +780,21 @@ where
             tb_obs::record(EventKind::Park, tasks as u32, run.id);
             run.frontier = Some(frontier);
             let (adm, id) = (Arc::clone(&run.adm), run.id);
-            let cont: crate::sched::ReadyJob =
-                Box::new(move |ctx: &WorkerCtx<'_>| drive_preemptible(run, ctx));
+            let cont: ReadyJob = Box::new(move |ctx: &WorkerCtx<'_>| drive_preemptible(run, ctx));
             for job in adm.parked(id, tasks, cont) {
                 ctx.spawn(job);
             }
+            return;
         }
         Ok(Segment::Done(out)) => {
             tb_obs::record(EventKind::JobDone, 0, run.id);
-            let result = if run.token.is_cancelled() { Err(JobError::Cancelled) } else { Ok(out.reducer) };
-            run.counters.finish(&result.as_ref().map(|_| ()).map_err(Clone::clone));
-            for job in run.adm.finished(run.id) {
-                ctx.spawn(job);
+            if run.token.is_cancelled() {
+                Err(JobError::Cancelled)
+            } else {
+                Ok(out.reducer)
             }
-            run.core.complete(result);
         }
-        Err(_) => {
-            run.counters.finish(&Err(JobError::Panicked));
-            for job in run.adm.finished(run.id) {
-                ctx.spawn(job);
-            }
-            run.core.complete(Err(JobError::Panicked));
-        }
-    }
+        Err(_) => Err(JobError::Panicked),
+    };
+    run.core.complete(retire(&run.adm, &run.counters, ctx, run.id, result));
 }

@@ -53,9 +53,14 @@
 //! [`ShardSnapshot`]s across threads.
 //!
 //! The blocking path ([`PlacementCore::route`]) never rejects: affinity
-//! tenants wait on their home shard's gate (backpressure, as for a
-//! single runtime), least-loaded picks the emptiest shard and may
-//! overbook it — pending demand is still demand.
+//! tenants wait at their pending bound on their home shard (backpressure,
+//! as for a single runtime), least-loaded picks the emptiest shard and
+//! may overbook it — pending demand is still demand.
+//!
+//! **Books.** In-flight jobs are counted once per level — per shard by
+//! its [`SchedCore`](crate::SchedCore), across shards by this core's
+//! bookings — and audited against each other at quiescence
+//! ([`ShardSnapshot::gate_slots_held`] and `abandoned` both 0).
 //!
 //! See DESIGN.md §12 for the full design, including the wire front-end
 //! ([`crate::wire`]) that serves this over TCP.
@@ -147,9 +152,9 @@ pub struct PlacementCounters {
     pub rejected: u64,
     /// Jobs retired via [`PlacementCore::complete`].
     pub completed: u64,
-    /// Booked placements withdrawn by the shell because the shard's gate
-    /// refused after all (never under the shell's own invariants; counted
-    /// so a future divergence is visible, not silent).
+    /// Booked placements withdrawn by the shell because the shard's
+    /// admission scheduler refused after all (never under the shell's own
+    /// invariants; counted so a future divergence is visible, not silent).
     pub abandoned: u64,
     /// Load reports accepted.
     pub reports: u64,
@@ -171,14 +176,15 @@ struct ShardState {
     capacity: usize,
     /// Exact outstanding placements: booked − completed.
     pending: usize,
-    /// Outstanding placements per tenant (mirrors each tenant's gate).
+    /// Outstanding placements per tenant (an upper bound on the shard
+    /// scheduler's own per-tenant count).
     tenant_pending: Vec<usize>,
     report: Option<LoadReport>,
 }
 
 #[derive(Debug)]
 struct TenantState {
-    /// Per-shard pending bound (mirrors the tenant's per-shard gate).
+    /// Per-shard pending bound (the tenant's `max_pending`).
     max_pending: usize,
 }
 
@@ -288,7 +294,8 @@ impl PlacementCore {
 
     /// Event: a blocking-path job arrives for `tenant`. Never rejects:
     /// books the policy's preferred shard (which may overbook — the
-    /// shard's gate supplies the backpressure) and returns it.
+    /// shard's admission scheduler supplies the backpressure) and returns
+    /// it.
     ///
     /// # Panics
     /// If `tenant` was never registered.
@@ -319,8 +326,8 @@ impl PlacementCore {
     }
 
     /// Event: the shell withdraws a booking it could not honour (the
-    /// shard's gate refused a try-acquire the core had approved). Counted
-    /// separately from completions so conservation stays auditable.
+    /// shard's admission scheduler shed a job the core had approved).
+    /// Counted separately from completions so conservation stays auditable.
     pub fn abandon(&mut self, shard: ShardId, tenant: TenantId) {
         self.advance();
         self.counters.abandoned += 1;
@@ -509,8 +516,9 @@ impl ShardSnapshot {
         self.shards.iter().map(|s| s.inflight).sum()
     }
 
-    /// Gate slots currently held across all shards and tenants — 0 at
-    /// quiescence; anything else after a drain is a leaked slot.
+    /// Jobs the shards' admission schedulers still count against a
+    /// tenant's pending bound, across all shards and tenants — 0 at
+    /// quiescence; anything else after a drain is a leaked job.
     pub fn gate_slots_held(&self) -> usize {
         self.shards.iter().flat_map(|s| s.tenants.iter()).map(|t| t.pending).sum()
     }
@@ -550,9 +558,9 @@ impl ShardedRuntime {
             core.add_shard(c.max_inflight.max(1));
         }
         // The default tenant exists on every shard already; mirror it in
-        // the core. Its per-shard gate capacity is that shard's
+        // the core. Its per-shard pending bound is that shard's
         // max_inflight — with non-uniform shards the core uses the
-        // smallest, staying conservative (never approving what a gate
+        // smallest, staying conservative (never approving what a shard
         // would refuse).
         let default_cap = cfg.shards.iter().map(|c| c.max_inflight.max(1)).min().expect("≥ 1 shard");
         let t = core.add_tenant(default_cap);
@@ -602,19 +610,11 @@ impl ShardedRuntime {
         affinity_shard(tenant, self.inner.shards.len())
     }
 
-    /// Submit `prog` as the default tenant (blocking path; see
-    /// [`ShardedRuntime::submit_as`]).
-    pub fn submit<P>(&self, prog: P, cfg: SchedConfig, kind: SchedulerKind) -> JobHandle<P::Reducer>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        self.submit_as(DEFAULT_TENANT, prog, cfg, kind)
-    }
-
-    /// Blocking submission for `tenant`: the placement core routes to the
-    /// policy's preferred shard, and saturation blocks on that shard's
-    /// tenant gate (backpressure, exactly as on a standalone runtime).
+    /// Blocking submission for `tenant` ([`DEFAULT_TENANT`] for
+    /// tenant-unaware callers): the placement core routes to the policy's
+    /// preferred shard, and saturation blocks at the tenant's pending
+    /// bound on that shard (backpressure, exactly as on a standalone
+    /// runtime).
     ///
     /// # Panics
     /// If `tenant` was never registered.
@@ -631,20 +631,6 @@ impl ShardedRuntime {
     {
         let shard = self.place_blocking(tenant);
         self.inner.shards[shard as usize].submit_as(tenant, prog, cfg, kind)
-    }
-
-    /// Shedding submission as the default tenant.
-    pub fn try_submit<P>(
-        &self,
-        prog: P,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> Result<JobHandle<P::Reducer>, P>
-    where
-        P: BlockProgram + Send + 'static,
-        P::Reducer: Send + 'static,
-    {
-        self.try_submit_as(DEFAULT_TENANT, prog, cfg, kind)
     }
 
     /// Shedding submission for `tenant`: overflow on the preferred shard
@@ -664,32 +650,12 @@ impl ShardedRuntime {
         P: BlockProgram + Send + 'static,
         P::Reducer: Send + 'static,
     {
-        let Some(shard) = self.place_try(tenant) else { return Err(prog) };
-        match self.inner.shards[shard as usize].try_submit_as(tenant, prog, cfg, kind) {
-            Ok(h) => Ok(h),
-            Err(prog) => {
-                // The core's bookkeeping mirrors the gates exactly, so
-                // this refusal should be unreachable; withdraw the booking
-                // and shed to the caller rather than trusting it silently.
-                self.inner.core.lock().abandon(shard, tenant);
-                Err(prog)
-            }
-        }
+        self.try_place(tenant, prog, |shard, prog| shard.try_submit_as(tenant, prog, cfg, kind))
     }
 
-    /// Submit spec source as the default tenant at [`SpecTier::Auto`].
-    pub fn submit_spec(
-        &self,
-        source: &str,
-        args: Vec<i64>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-    ) -> JobHandle<i64> {
-        self.submit_spec_tier_as(DEFAULT_TENANT, source, args, cfg, kind, SpecTier::Auto)
-    }
-
-    /// Blocking spec submission for `tenant` at an explicit tier, routed
-    /// like [`ShardedRuntime::submit_as`]. Parse/validate failures
+    /// Blocking spec submission for `tenant` at `tier` ([`SpecTier::Auto`]
+    /// unless the caller pins one), routed like
+    /// [`ShardedRuntime::submit_as`]. Parse/validate failures
     /// complete the handle with [`crate::JobError::Rejected`] (the shard's
     /// caret diagnostic) and retire the booking — they never wedge the
     /// placement accounting.
@@ -716,8 +682,8 @@ impl ShardedRuntime {
         )
     }
 
-    /// Shedding spec submission for `tenant` at an explicit tier, routed
-    /// like [`ShardedRuntime::try_submit_as`]: `Err` hands the root args
+    /// Shedding spec submission for `tenant` at `tier`, routed like
+    /// [`ShardedRuntime::try_submit_as`]: `Err` hands the root args
     /// back and means *capacity* (every shard full) — a malformed source
     /// still returns `Ok` with a [`crate::JobError::Rejected`] handle.
     ///
@@ -732,21 +698,11 @@ impl ShardedRuntime {
         kind: SchedulerKind,
         tier: SpecTier,
     ) -> Result<JobHandle<i64>, Vec<i64>> {
-        let Some(shard) = self.place_try(tenant) else { return Err(args) };
-        match self.inner.shards[shard as usize].try_submit_spec_foreach_tier_as(
-            tenant,
-            source,
-            vec![args],
-            cfg,
-            kind,
-            tier,
-        ) {
-            Ok(h) => Ok(h),
-            Err(mut calls) => {
-                self.inner.core.lock().abandon(shard, tenant);
-                Err(calls.pop().expect("one root call was passed"))
-            }
-        }
+        self.try_place(tenant, args, |shard, args| {
+            shard
+                .try_submit_spec_foreach_tier_as(tenant, source, vec![args], cfg, kind, tier)
+                .map_err(|mut calls| calls.pop().expect("one root call was passed"))
+        })
     }
 
     /// Rolled-up stats: every shard's [`ServiceStats`] plus the placement
@@ -764,11 +720,28 @@ impl ShardedRuntime {
         core.route(tenant)
     }
 
-    /// Route a try submission; `None` means rejected (caller sheds).
-    fn place_try(&self, tenant: TenantId) -> Option<ShardId> {
-        let mut core = self.inner.core.lock();
-        self.refresh_reports(&mut core);
-        core.submit(tenant).shard()
+    /// The shedding path: book a shard for `tenant` (handing `payload`
+    /// back when every shard is full) and run `submit` on it.
+    fn try_place<T, H>(
+        &self,
+        tenant: TenantId,
+        payload: T,
+        submit: impl FnOnce(&Runtime, T) -> Result<H, T>,
+    ) -> Result<H, T> {
+        let placed = {
+            let mut core = self.inner.core.lock();
+            self.refresh_reports(&mut core);
+            core.submit(tenant).shard()
+        };
+        let Some(shard) = placed else { return Err(payload) };
+        submit(&self.inner.shards[shard as usize], payload).inspect_err(|_| {
+            // The core books before the shard's scheduler counts a job and
+            // retires after it, so its per-tenant bookings never run below
+            // the shard's own count and this refusal should be unreachable;
+            // withdraw the booking and shed to the caller rather than
+            // trusting it silently.
+            self.inner.core.lock().abandon(shard, tenant);
+        })
     }
 
     /// Feed the core a fresh [`Runtime::load`] for every shard whose

@@ -29,7 +29,9 @@
 //! names auto-register (tenants cannot be unregistered, so an unbounded
 //! name stream would be a memory leak by protocol); at most
 //! [`MAX_CONNECTIONS`] concurrent connections (the next one is refused
-//! with `ERR` and closed).
+//! with `ERR` and closed); a partial line that receives no byte for 2 s
+//! closes its connection unanswered (an idle connection *between*
+//! requests may wait indefinitely).
 //!
 //! # Backpressure and shedding
 //!
@@ -37,7 +39,7 @@
 //! connection, response written before the next request is read. A client
 //! that wants pipelining opens more connections — up to the cap — so the
 //! server's total exposure is bounded by `MAX_CONNECTIONS` jobs plus the
-//! per-tenant gates behind them. Submissions take the *shedding* path
+//! per-tenant pending bounds behind them. Submissions take the *shedding* path
 //! ([`ShardedRuntime::try_submit_spec_tier_as`]): overflow re-routes to a
 //! sibling shard, and only with every shard at capacity does the client
 //! get `ERR overloaded` — the server never queues unboundedly on a
@@ -77,11 +79,16 @@ pub const MAX_TENANTS: usize = 64;
 /// Concurrent connections served; the next is refused with `ERR`.
 pub const MAX_CONNECTIONS: usize = 64;
 
-/// Gate capacity given to auto-registered wire tenants (per shard).
+/// `max_pending` given to auto-registered wire tenants (per shard).
 const WIRE_TENANT_PENDING: usize = 64;
 
 /// How often an idle connection wakes to check for server drain.
 const IDLE_POLL: Duration = Duration::from_millis(25);
+
+/// Consecutive [`IDLE_POLL`]s (2 s) a partial line may go without a new
+/// byte before its connection is closed: a peer that sends half a line
+/// and stalls must not pin a thread and one of [`MAX_CONNECTIONS`] slots.
+const STALL_POLLS: u32 = 80;
 
 /// One parsed request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -296,27 +303,37 @@ impl ServerInner {
 /// How one framed line read ended.
 enum Frame {
     Line(String),
-    /// Peer closed (possibly mid-line: a torn request is dropped).
+    /// Peer closed or stalled mid-line for [`STALL_POLLS`]: a torn request
+    /// is dropped.
     Closed,
     /// Line exceeded [`MAX_LINE_BYTES`].
     TooLong,
     /// The line was not UTF-8.
     NotUtf8,
-    /// Server drain began while idle between requests.
+    /// Server drain began before a whole line arrived.
     Draining,
 }
 
 /// Read one `\n`-terminated line with a hard length cap, polling the
-/// drain flag while idle. The reader carries a read timeout (set at
-/// connection setup) so an idle blocking read wakes every [`IDLE_POLL`].
+/// drain flag while no byte arrives. The reader carries a read timeout
+/// (set at connection setup) so a blocking read wakes every [`IDLE_POLL`].
 fn read_frame(r: &mut BufReader<TcpStream>, draining: &AtomicBool) -> io::Result<Frame> {
     let mut buf: Vec<u8> = Vec::new();
+    let mut stalled = 0;
     loop {
         let available = match r.fill_buf() {
             Ok(b) => b,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if draining.load(Ordering::Acquire) && buf.is_empty() {
+                if draining.load(Ordering::Acquire) {
                     return Ok(Frame::Draining);
+                }
+                // An empty buffer is an idle keep-alive connection, which
+                // may wait indefinitely; a partial line may not.
+                if !buf.is_empty() {
+                    stalled += 1;
+                    if stalled >= STALL_POLLS {
+                        return Ok(Frame::Closed);
+                    }
                 }
                 continue;
             }
@@ -326,6 +343,7 @@ fn read_frame(r: &mut BufReader<TcpStream>, draining: &AtomicBool) -> io::Result
         if available.is_empty() {
             return Ok(Frame::Closed);
         }
+        stalled = 0;
         let (chunk, done) = match available.iter().position(|&b| b == b'\n') {
             Some(pos) => (pos + 1, true),
             None => (available.len(), false),

@@ -1,8 +1,10 @@
 //! Threaded integration tests for the admission scheduler: the
-//! starvation regression pair (weighted-fair vs the legacy tenant-blind
-//! FIFO gate, same arrival script), end-to-end preemption through a real
-//! pool (park at a superstep boundary, run the interactive job, resume),
-//! per-tenant shedding, and stats plumbing.
+//! starvation regression (a light tenant behind a heavy flood; the legacy
+//! tenant-blind FIFO arm of the pair is core-level only and lives in
+//! `sched_core.rs::fifo_mode_reproduces_the_tenant_blind_gate`),
+//! end-to-end preemption through a real pool (park at a superstep
+//! boundary, run the interactive job, resume), per-tenant shedding, and
+//! stats plumbing.
 //!
 //! Determinism here comes from *structure*, not sleeps: a `SpinUntil` plug
 //! occupies the single pool slot while the test scripts arrivals, so
@@ -14,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use tb_core::prelude::*;
-use tb_service::{Runtime, RuntimeConfig, TenantSpec};
+use tb_service::{Runtime, RuntimeConfig, TenantSpec, DEFAULT_TENANT};
 
 /// Reduces to 1 and records its tag in the shared log when executed.
 struct Mark {
@@ -91,12 +93,13 @@ fn cfg() -> SchedConfig {
     SchedConfig::basic(4, 64)
 }
 
-/// The shared arrival script for the starvation pair: plug the single pool
-/// slot, queue 40 heavy-tenant jobs, then ONE light-tenant job, release
-/// the plug and let everything drain. Returns the light job's position in
-/// the execution order (0 = ran first after the plug).
-fn light_position(fifo: bool) -> usize {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 1, max_parked: 0, fifo });
+/// The starvation regression: plug the single pool slot, queue 40
+/// heavy-tenant jobs, then ONE light-tenant job, release the plug and let
+/// everything drain. Under weighted-fair admission the light tenant is
+/// admitted within a couple of service times of the plug's release.
+#[test]
+fn fair_admission_bounds_a_light_tenants_wait() {
+    let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 1, max_parked: 0 });
     let heavy = rt.register_tenant(TenantSpec::new("heavy", 64));
     let light = rt.register_tenant(TenantSpec::new("light", 8));
     let log = Arc::new(Mutex::new(Vec::new()));
@@ -122,25 +125,8 @@ fn light_position(fifo: bool) -> usize {
     assert_eq!(light_h.wait(), Ok(1));
     let log = log.lock().unwrap();
     assert_eq!(log.len(), 41);
-    log.iter().position(|&t| t == 1).expect("light job ran")
-}
-
-/// The starvation regression: under weighted-fair admission a light tenant
-/// behind a 40-job flood is admitted within a couple of service times.
-#[test]
-fn fair_admission_bounds_a_light_tenants_wait() {
-    let pos = light_position(false);
+    let pos = log.iter().position(|&t| t == 1).expect("light job ran");
     assert!(pos <= 3, "light tenant ran at position {pos}; fair admission should bound this to ~0");
-}
-
-/// The same script on the legacy FIFO gate semantics starves the light
-/// tenant to the back of the flood — the failure mode the admission
-/// scheduler exists to fix, preserved as the A/B baseline. (If this test
-/// ever fails, `fifo: true` no longer reproduces the old global gate.)
-#[test]
-fn fifo_gate_semantics_starve_the_light_tenant() {
-    let pos = light_position(true);
-    assert!(pos >= 40, "FIFO should run the light tenant dead last, not at position {pos}");
 }
 
 /// End-to-end preemption through a real pool: one worker, one slot. The
@@ -149,7 +135,7 @@ fn fifo_gate_semantics_starve_the_light_tenant() {
 /// resume and finish with the right answer.
 #[test]
 fn interactive_tenant_preempts_batch_work_and_batch_resumes() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 1, max_parked: 4, fifo: false });
+    let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 1, max_parked: 4 });
     let batch = rt.register_tenant(TenantSpec::new("batch", 8));
     let interactive = rt.register_tenant(TenantSpec::new("interactive", 8).priority(1));
     let (release, started) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
@@ -182,7 +168,7 @@ fn interactive_tenant_preempts_batch_work_and_batch_resumes() {
 /// own `try_submit_as`, while a neighbour tenant's submissions still pass.
 #[test]
 fn tenant_bound_sheds_without_touching_neighbours() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 1, max_parked: 0, fifo: false });
+    let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 1, max_parked: 0 });
     let a = rt.register_tenant(TenantSpec::new("a", 2));
     let b = rt.register_tenant(TenantSpec::new("b", 2));
     let log = Arc::new(Mutex::new(Vec::new()));
@@ -196,14 +182,14 @@ fn tenant_bound_sheds_without_touching_neighbours() {
     );
     await_flag(&started);
     let second = rt.submit_as(a, Mark { tag: 1, log: Arc::clone(&log) }, cfg(), SchedulerKind::Seq);
-    // Tenant a holds 2 of its 2 gate slots (one running, one waiting).
+    // Tenant a is at its bound of 2 pending (one running, one waiting).
     let shed = rt.try_submit_as(a, Mark { tag: 2, log: Arc::clone(&log) }, cfg(), SchedulerKind::Seq);
     let spec = match shed {
         Err(prog) => prog,
         Ok(_) => panic!("tenant a is at its bound; submission should shed"),
     };
     assert_eq!(spec.tag, 2, "the program comes back unchanged");
-    // Tenant b has its own gate and is unaffected by a's saturation.
+    // Tenant b has its own bound and is unaffected by a's saturation.
     let bh = rt
         .try_submit_as(b, Mark { tag: 3, log: Arc::clone(&log) }, cfg(), SchedulerKind::Seq)
         .unwrap_or_else(|_| panic!("tenant b must not be blocked by tenant a's flood"));
@@ -216,7 +202,7 @@ fn tenant_bound_sheds_without_touching_neighbours() {
     let stats = rt.stats();
     assert_eq!(stats.tenants[a as usize].counters.submitted, 2, "the shed job never entered");
     assert_eq!(stats.tenants[b as usize].counters.submitted, 1);
-    assert_eq!(stats.tenants[a as usize].pending, 0, "gate slots all returned");
+    assert_eq!(stats.tenants[a as usize].pending, 0, "nothing left pending");
     assert_eq!(stats.tenants[b as usize].pending, 0);
 }
 
@@ -224,11 +210,11 @@ fn tenant_bound_sheds_without_touching_neighbours() {
 /// and consistent counters; global aggregates match.
 #[test]
 fn stats_expose_tenant_queues_and_counters() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 4, max_parked: 2, fifo: false });
+    let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 4, max_parked: 2 });
     let client = rt.register_tenant(TenantSpec::new("client", 4).weight(3).priority(1));
     let log = Arc::new(Mutex::new(Vec::new()));
 
-    let h1 = rt.submit(Mark { tag: 0, log: Arc::clone(&log) }, cfg(), SchedulerKind::Seq);
+    let h1 = rt.submit_as(DEFAULT_TENANT, Mark { tag: 0, log: Arc::clone(&log) }, cfg(), SchedulerKind::Seq);
     let h2 = rt.submit_as(client, Mark { tag: 1, log: Arc::clone(&log) }, cfg(), SchedulerKind::Seq);
     let h3 = rt.submit_as(client, Mark { tag: 1, log: Arc::clone(&log) }, cfg(), SchedulerKind::Seq);
     assert_eq!(h1.wait(), Ok(1));
@@ -280,7 +266,7 @@ impl BlockProgram for SumChunk {
 /// which worker ran which chunk.
 #[test]
 fn bulk_wait_merged_folds_chunk_results_across_threads() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, max_parked: 0, fifo: false });
+    let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, max_parked: 0 });
     let n = 10_000u64;
     let items: Vec<u64> = (0..n).collect();
     let bulk = rt.submit_bulk(items, cfg(), SchedulerKind::ReExpansion, SumChunk);
@@ -311,9 +297,10 @@ fn bulk_chunks_lower_bound() -> u64 {
 fn bulk_wait_merged_short_circuits_on_a_cancelled_chunk() {
     // A wide gate (submission never blocks) over a single worker: the plug
     // pins the pool, so every bulk chunk is still queued when we cancel.
-    let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 64, max_parked: 0, fifo: false });
+    let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 64, max_parked: 0 });
     let (release, started) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
-    let plug = rt.submit(
+    let plug = rt.submit_as(
+        DEFAULT_TENANT,
         SpinUntil { release: Arc::clone(&release), started: Arc::clone(&started) },
         cfg(),
         SchedulerKind::Seq,

@@ -1,12 +1,13 @@
 //! The deterministic scheduler test rig: `SchedCore` is a pure, thread-free
 //! state machine, so every property of the admission discipline — weighted
 //! quota accounting, queue transitions, preemption-victim choice, the park
-//! pool bound, and the fair-vs-FIFO starvation contrast — is asserted here
-//! by *scripting* arrivals and completions against the core's virtual
-//! clock and reading back exact `Action` lists. No threads, no sleeps, no
-//! timing assumptions: a failure reproduces identically on every run.
+//! pool bound, the per-tenant pending count, and the fair-vs-FIFO
+//! starvation contrast — is asserted here by *scripting* arrivals and
+//! completions against the core's virtual clock and reading back exact
+//! `Action` lists. No threads, no sleeps, no timing assumptions: a failure
+//! reproduces identically on every run.
 
-use tb_service::{Action, AdmissionPolicy, JobPhase, SchedCore, TenantId, TenantSpec};
+use tb_service::{Action, AdmissionPolicy, JobId, JobPhase, SchedCore, TenantId, TenantSpec};
 
 fn policy(max_running: usize, max_parked: usize, fifo: bool) -> AdmissionPolicy {
     AdmissionPolicy { max_running, max_parked, fifo }
@@ -333,4 +334,89 @@ fn virtual_clock_ticks_once_per_event() {
     core.complete(a);
     core.complete(b);
     assert_eq!(core.now(), 4, "two completion events");
+}
+
+#[test]
+fn seeded_event_storm_keeps_the_per_tenant_count_exact_and_bounded() {
+    // The per-tenant live count is what `max_pending` bounds, so it has to
+    // equal waiting + running + parked after EVERY event, whatever the
+    // interleaving — checked here against a model the test keeps itself
+    // (the list of live ids and the phase the core reports for each), over
+    // a few thousand pseudo-random events on three seeds. Submits are
+    // gated by `has_room`, as the shell gates them, so the count must also
+    // never exceed the bound.
+    const BOUNDS: [usize; 3] = [3, 5, 9];
+    for seed in [1u64, 0xDEAD_BEEF, 0x5EED_0014] {
+        let mut rng = seed;
+        let mut next = move |n: u64| {
+            // splitmix64
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let mut core = SchedCore::new(policy(2, 2, false));
+        let tenants: Vec<TenantId> = BOUNDS
+            .iter()
+            .enumerate()
+            .map(|(i, &max)| core.add_tenant(TenantSpec::new(format!("t{i}"), max).priority(i as u8)))
+            .collect();
+        let mut live = Vec::new();
+        let (mut refused, mut parks) = (0u32, 0u32);
+        for step in 0..4000 {
+            match next(3) {
+                0 | 1 => {
+                    let t = tenants[next(3) as usize];
+                    if core.has_room(t) {
+                        live.push(core.submit(t, next(2) == 0));
+                    } else {
+                        refused += 1;
+                    }
+                }
+                _ if !live.is_empty() => {
+                    // Mostly a job on the pool moves on (parks if asked to,
+                    // else finishes); now and then any live job — waiting
+                    // and parked ones included — is retired instead (the
+                    // core allows it; the count must follow).
+                    let on_pool = |id: &JobId| {
+                        matches!(core.job_phase(*id), Some(JobPhase::Running | JobPhase::Preempting))
+                    };
+                    let at = match live.iter().position(on_pool) {
+                        Some(at) if next(8) != 0 => at,
+                        _ => next(live.len() as u64) as usize,
+                    };
+                    if core.job_phase(live[at]) == Some(JobPhase::Preempting) && next(4) != 0 {
+                        core.parked(live[at], next(50) as usize);
+                        parks += 1;
+                    } else {
+                        core.complete(live.swap_remove(at));
+                    }
+                }
+                _ => {}
+            }
+            core.schedule();
+
+            let snaps = core.snapshot();
+            for (&t, &max) in tenants.iter().zip(&BOUNDS) {
+                let phases =
+                    || live.iter().filter(|&&id| core.tenant_of(id) == Some(t)).map(|&id| core.job_phase(id));
+                let waiting = phases().filter(|&p| p == Some(JobPhase::Waiting)).count();
+                let parked = phases().filter(|&p| p == Some(JobPhase::Parked)).count();
+                let running = phases().count() - waiting - parked;
+                let ctx = format!("seed {seed:#x} step {step} tenant {t}");
+                assert_eq!(core.tenant_pending(t), waiting + running + parked, "{ctx}");
+                assert!(core.tenant_pending(t) <= max, "{ctx}: over its bound of {max}");
+                let s = &snaps[t as usize];
+                assert_eq!((s.waiting, s.running, s.parked), (waiting, running, parked), "{ctx}");
+                assert_eq!((s.pending, s.max_pending), (core.tenant_pending(t), max), "{ctx}");
+            }
+            assert_eq!(snaps.iter().map(|s| s.parked).sum::<usize>(), core.parked_count());
+            assert_eq!(snaps.iter().map(|s| s.running).sum::<usize>(), core.running());
+        }
+        assert!(
+            refused > 0 && parks > 0,
+            "seed {seed:#x}: the storm must reach the bound ({refused} refusals) and the park path ({parks} parks)"
+        );
+    }
 }

@@ -8,7 +8,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tb_core::prelude::*;
-use tb_service::{JobError, Runtime, RuntimeConfig};
+use tb_service::{JobError, Runtime, RuntimeConfig, DEFAULT_TENANT};
+use tb_spec::SpecTier;
 
 /// Count the leaves of a depth-n binary tree: 2^n leaves, known answer,
 /// exponential work — ideal for "did it actually run / stop" checks.
@@ -92,12 +93,23 @@ fn mixed_schedulers_coexist_on_one_pool() {
     let mut handles = Vec::new();
     for round in 0..4u32 {
         let depth = 8 + round;
-        handles.push((depth, rt.submit(Tree(depth), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion)));
         handles.push((
             depth,
-            rt.submit(Tree(depth), SchedConfig::restart(4, 64, 16), SchedulerKind::RestartSimplified),
+            rt.submit_as(DEFAULT_TENANT, Tree(depth), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion),
         ));
-        handles.push((depth, rt.submit(Tree(depth), SchedConfig::reexpansion(4, 64), SchedulerKind::Seq)));
+        handles.push((
+            depth,
+            rt.submit_as(
+                DEFAULT_TENANT,
+                Tree(depth),
+                SchedConfig::restart(4, 64, 16),
+                SchedulerKind::RestartSimplified,
+            ),
+        ));
+        handles.push((
+            depth,
+            rt.submit_as(DEFAULT_TENANT, Tree(depth), SchedConfig::reexpansion(4, 64), SchedulerKind::Seq),
+        ));
     }
     for (depth, h) in handles {
         assert_eq!(h.wait(), Ok(1u64 << depth), "depth {depth}");
@@ -123,7 +135,7 @@ fn concurrent_clients_hammer_one_runtime() {
                     } else {
                         SchedulerKind::RestartSimplified
                     };
-                    let h = rt.submit(Tree(depth), SchedConfig::restart(4, 32, 8), kind);
+                    let h = rt.submit_as(DEFAULT_TENANT, Tree(depth), SchedConfig::restart(4, 32, 8), kind);
                     assert_eq!(h.wait(), Ok(1u64 << depth));
                 }
             });
@@ -140,7 +152,8 @@ fn cancellation_stops_expansion_promptly() {
     let ticks = Arc::new(AtomicU64::new(0));
     // Depth 40: ~2^40 leaves, would run for hours — cancellation is the
     // only way this test can finish.
-    let h = rt.submit(
+    let h = rt.submit_as(
+        DEFAULT_TENANT,
         CountingTree { depth: 40, ticks: Arc::clone(&ticks) },
         SchedConfig::basic(4, 256),
         SchedulerKind::ReExpansion,
@@ -164,7 +177,8 @@ fn cancellation_stops_expansion_promptly() {
 fn dropping_a_handle_mid_run_detaches_without_wedging() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 2, ..RuntimeConfig::default() });
     let ticks = Arc::new(AtomicU64::new(0));
-    let h = rt.submit(
+    let h = rt.submit_as(
+        DEFAULT_TENANT,
         CountingTree { depth: 18, ticks: Arc::clone(&ticks) },
         SchedConfig::basic(4, 64),
         SchedulerKind::ReExpansion,
@@ -178,7 +192,7 @@ fn dropping_a_handle_mid_run_detaches_without_wedging() {
     assert_eq!(ticks.load(Ordering::Relaxed), (1u64 << 19) - 1, "detached job ran to completion");
     assert_eq!(rt.stats().inflight, 0, "gate slot leaked by dropped handle");
     // The runtime is still fully usable afterwards.
-    let h = rt.submit(Tree(10), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+    let h = rt.submit_as(DEFAULT_TENANT, Tree(10), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
     assert_eq!(h.wait(), Ok(1 << 10));
 }
 
@@ -186,7 +200,8 @@ fn dropping_a_handle_mid_run_detaches_without_wedging() {
 fn dropping_a_cancelled_handle_is_also_clean() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 2, ..RuntimeConfig::default() });
     let ticks = Arc::new(AtomicU64::new(0));
-    let h = rt.submit(
+    let h = rt.submit_as(
+        DEFAULT_TENANT,
         CountingTree { depth: 40, ticks: Arc::clone(&ticks) },
         SchedConfig::basic(4, 256),
         SchedulerKind::ReExpansion,
@@ -209,8 +224,8 @@ fn backpressure_blocks_then_releases() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 1, ..RuntimeConfig::default() });
     // Fill the single slot with a slow job, then submit another: the
     // second submit must block until the first completes.
-    let slow = rt.submit(Tree(18), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
-    let fast = rt.submit(Tree(4), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+    let slow = rt.submit_as(DEFAULT_TENANT, Tree(18), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+    let fast = rt.submit_as(DEFAULT_TENANT, Tree(4), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
     assert_eq!(fast.wait(), Ok(16));
     assert_eq!(slow.wait(), Ok(1 << 18));
     assert!(rt.stats().backpressure_waits >= 1, "the second submit should have hit the gate");
@@ -219,17 +234,17 @@ fn backpressure_blocks_then_releases() {
 #[test]
 fn try_submit_sheds_load_when_saturated() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 1, ..RuntimeConfig::default() });
-    let slow = rt.submit(Tree(20), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+    let slow = rt.submit_as(DEFAULT_TENANT, Tree(20), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
     // The slot is taken (the job may already be running, but it has not
     // completed): try_submit must bounce and return the program.
-    match rt.try_submit(Tree(5), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion) {
+    match rt.try_submit_as(DEFAULT_TENANT, Tree(5), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion) {
         Err(prog) => assert_eq!(prog.0, 5, "program handed back intact"),
         Ok(_) => panic!("try_submit admitted past a full gate"),
     }
     assert_eq!(slow.wait(), Ok(1 << 20));
     // Slot free again: admission works.
     let h = rt
-        .try_submit(Tree(5), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion)
+        .try_submit_as(DEFAULT_TENANT, Tree(5), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion)
         .unwrap_or_else(|_| panic!("gate should be free"));
     assert_eq!(h.wait(), Ok(32));
 }
@@ -296,24 +311,13 @@ fn panicking_program_is_contained() {
         }
     }
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 4, ..RuntimeConfig::default() });
-    let h = rt.submit(Bomb, SchedConfig::basic(4, 64), SchedulerKind::Seq);
+    let h = rt.submit_as(DEFAULT_TENANT, Bomb, SchedConfig::basic(4, 64), SchedulerKind::Seq);
     assert_eq!(h.wait(), Err(JobError::Panicked));
     assert_eq!(rt.stats().panicked, 1);
     assert_eq!(rt.stats().inflight, 0, "panicked job released its slot");
     // Pool workers survived; the runtime still serves.
-    let h = rt.submit(Tree(8), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+    let h = rt.submit_as(DEFAULT_TENANT, Tree(8), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
     assert_eq!(h.wait(), Ok(256));
-}
-
-#[test]
-fn closure_jobs_ride_the_same_gate() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 4, ..RuntimeConfig::default() });
-    let mut handles: Vec<_> = (0..8u64).map(|i| rt.submit_fn(move || i * i)).collect();
-    let sum: u64 = handles.drain(..).map(|h| h.wait().expect("closure job")).sum();
-    assert_eq!(sum, (0..8u64).map(|i| i * i).sum());
-    let stats = rt.stats();
-    assert_eq!(stats.completed, 8);
-    assert_eq!(stats.inflight, 0);
 }
 
 #[test]
@@ -335,7 +339,7 @@ fn panicking_bulk_chunk_builder_is_contained() {
     assert_eq!(stats.inflight, 0, "panicked chunks must release their gate slots");
     assert_eq!(stats.panicked as usize, results.len());
     // Runtime still serves.
-    let h = rt.submit(Tree(8), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+    let h = rt.submit_as(DEFAULT_TENANT, Tree(8), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
     assert_eq!(h.wait(), Ok(256));
 }
 
@@ -352,7 +356,14 @@ const FIB_SRC: &str = "spec fib(n) {
 fn spec_source_jobs_run_under_every_kind() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, ..RuntimeConfig::default() });
     for kind in SchedulerKind::ALL {
-        let h = rt.submit_spec(FIB_SRC, vec![18], SchedConfig::restart(4, 64, 16), kind);
+        let h = rt.submit_spec_foreach_tier_as(
+            DEFAULT_TENANT,
+            FIB_SRC,
+            vec![vec![18]],
+            SchedConfig::restart(4, 64, 16),
+            kind,
+            SpecTier::Auto,
+        );
         assert_eq!(h.wait(), Ok(2584), "{kind:?}");
     }
     let stats = rt.stats();
@@ -366,18 +377,27 @@ fn spec_foreach_submission_strip_mines_many_roots() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 3, max_inflight: 8, ..RuntimeConfig::default() });
     let calls: Vec<Vec<i64>> = (0..200).map(|i| vec![i % 10]).collect();
     // sum of fib(0..=9) cycled 20 times: (fib(11) - 1) * 20
-    let h = rt.submit_spec_foreach(FIB_SRC, calls, SchedConfig::basic(8, 32), SchedulerKind::ReExpansion);
+    let h = rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
+        FIB_SRC,
+        calls,
+        SchedConfig::basic(8, 32),
+        SchedulerKind::ReExpansion,
+        SpecTier::Auto,
+    );
     assert_eq!(h.wait(), Ok(88 * 20));
 }
 
 #[test]
 fn malformed_spec_source_is_rejected_not_panicked() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 4, ..RuntimeConfig::default() });
-    let h = rt.submit_spec(
+    let h = rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
         "spec f(n) { base (n < 2) { reduce n; } else { spawn g(n - 1); } }",
-        vec![5],
+        vec![vec![5]],
         SchedConfig::basic(4, 64),
         SchedulerKind::ReExpansion,
+        SpecTier::Auto,
     );
     assert!(h.is_finished(), "rejection completes the handle immediately");
     match h.wait() {
@@ -392,14 +412,28 @@ fn malformed_spec_source_is_rejected_not_panicked() {
     assert_eq!(stats.submitted, 0, "rejected specs never occupy a gate slot");
     assert_eq!(stats.inflight, 0);
     // The runtime still serves after a rejection.
-    let h = rt.submit_spec(FIB_SRC, vec![10], SchedConfig::basic(4, 64), SchedulerKind::Seq);
+    let h = rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
+        FIB_SRC,
+        vec![vec![10]],
+        SchedConfig::basic(4, 64),
+        SchedulerKind::Seq,
+        SpecTier::Auto,
+    );
     assert_eq!(h.wait(), Ok(55));
 }
 
 #[test]
 fn wrong_root_arity_is_rejected_with_a_message() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 4, ..RuntimeConfig::default() });
-    let h = rt.submit_spec(FIB_SRC, vec![10, 3], SchedConfig::basic(4, 64), SchedulerKind::Seq);
+    let h = rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
+        FIB_SRC,
+        vec![vec![10, 3]],
+        SchedConfig::basic(4, 64),
+        SchedulerKind::Seq,
+        SpecTier::Auto,
+    );
     match h.wait() {
         Err(JobError::Rejected(msg)) => {
             assert!(msg.contains("2 args") && msg.contains("1 params"), "{msg}");
@@ -417,7 +451,14 @@ fn spec_cache_is_shared_across_concurrent_clients() {
             let rt = rt.clone();
             s.spawn(move || {
                 for n in [8i64, 10, 12] {
-                    let h = rt.submit_spec(FIB_SRC, vec![n], SchedConfig::basic(4, 32), SchedulerKind::Seq);
+                    let h = rt.submit_spec_foreach_tier_as(
+                        DEFAULT_TENANT,
+                        FIB_SRC,
+                        vec![vec![n]],
+                        SchedConfig::basic(4, 32),
+                        SchedulerKind::Seq,
+                        SpecTier::Auto,
+                    );
                     let want = [21, 55, 144][[8, 10, 12].iter().position(|&x| x == n).unwrap()];
                     assert_eq!(h.wait(), Ok(want));
                 }
@@ -444,9 +485,23 @@ fn hostile_spec_source_cannot_kill_the_runtime() {
         "(".repeat(50_000),
         ")".repeat(50_000)
     );
-    let h = rt.submit_spec(&hostile, vec![5], SchedConfig::basic(4, 64), SchedulerKind::Seq);
+    let h = rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
+        &hostile,
+        vec![vec![5]],
+        SchedConfig::basic(4, 64),
+        SchedulerKind::Seq,
+        SpecTier::Auto,
+    );
     assert!(matches!(h.wait(), Err(JobError::Rejected(_))));
     // The runtime survives and still serves.
-    let h = rt.submit_spec(FIB_SRC, vec![10], SchedConfig::basic(4, 64), SchedulerKind::Seq);
+    let h = rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
+        FIB_SRC,
+        vec![vec![10]],
+        SchedConfig::basic(4, 64),
+        SchedulerKind::Seq,
+        SpecTier::Auto,
+    );
     assert_eq!(h.wait(), Ok(55));
 }

@@ -11,7 +11,7 @@
 //! misses, `spec_cache_hits` counts hits).
 
 use tb_core::{SchedConfig, SchedulerKind};
-use tb_service::{Runtime, RuntimeConfig};
+use tb_service::{Runtime, RuntimeConfig, DEFAULT_TENANT};
 use tb_spec::SpecTier;
 
 /// Matches `SPEC_CACHE_CAP` in `tb-service`; the tests below fill exactly
@@ -36,15 +36,36 @@ fn tiny_cfg() -> SchedConfig {
 #[test]
 fn hot_source_survives_a_cap_of_cold_ones() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, ..RuntimeConfig::default() });
-    let h = rt.submit_spec(HOT_SRC, vec![8], tiny_cfg(), SchedulerKind::Seq);
+    let h = rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
+        HOT_SRC,
+        vec![vec![8]],
+        tiny_cfg(),
+        SchedulerKind::Seq,
+        SpecTier::Auto,
+    );
     assert_eq!(h.wait(), Ok(21));
     // Interleave CAP distinct cold sources with hot resubmissions: the
     // hot entry is always the most recently used, so LRU eviction must
     // sacrifice cold entries around it, never the hot one.
     for i in 0..CAP {
-        let c = rt.submit_spec(&cold_src(i), vec![0], tiny_cfg(), SchedulerKind::Seq);
+        let c = rt.submit_spec_foreach_tier_as(
+            DEFAULT_TENANT,
+            &cold_src(i),
+            vec![vec![0]],
+            tiny_cfg(),
+            SchedulerKind::Seq,
+            SpecTier::Auto,
+        );
         assert_eq!(c.wait(), Ok(i as i64));
-        let h = rt.submit_spec(HOT_SRC, vec![8], tiny_cfg(), SchedulerKind::Seq);
+        let h = rt.submit_spec_foreach_tier_as(
+            DEFAULT_TENANT,
+            HOT_SRC,
+            vec![vec![8]],
+            tiny_cfg(),
+            SchedulerKind::Seq,
+            SpecTier::Auto,
+        );
         assert_eq!(h.wait(), Ok(21));
     }
     let stats = rt.stats();
@@ -61,11 +82,25 @@ fn late_arriving_hot_source_displaces_a_cold_one() {
     // and serves every subsequent submission from the cache.
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, ..RuntimeConfig::default() });
     for i in 0..CAP {
-        let c = rt.submit_spec(&cold_src(i), vec![0], tiny_cfg(), SchedulerKind::Seq);
+        let c = rt.submit_spec_foreach_tier_as(
+            DEFAULT_TENANT,
+            &cold_src(i),
+            vec![vec![0]],
+            tiny_cfg(),
+            SchedulerKind::Seq,
+            SpecTier::Auto,
+        );
         assert_eq!(c.wait(), Ok(i as i64));
     }
     for _ in 0..3 {
-        let h = rt.submit_spec(HOT_SRC, vec![8], tiny_cfg(), SchedulerKind::Seq);
+        let h = rt.submit_spec_foreach_tier_as(
+            DEFAULT_TENANT,
+            HOT_SRC,
+            vec![vec![8]],
+            tiny_cfg(),
+            SchedulerKind::Seq,
+            SpecTier::Auto,
+        );
         assert_eq!(h.wait(), Ok(21));
     }
     let stats = rt.stats();
@@ -78,18 +113,72 @@ fn eviction_victim_is_the_least_recently_used() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, ..RuntimeConfig::default() });
     // Fill to capacity, then touch source 0 so source 1 becomes the LRU.
     for i in 0..CAP {
-        rt.submit_spec(&cold_src(i), vec![0], tiny_cfg(), SchedulerKind::Seq).wait().unwrap();
+        rt.submit_spec_foreach_tier_as(
+            DEFAULT_TENANT,
+            &cold_src(i),
+            vec![vec![0]],
+            tiny_cfg(),
+            SchedulerKind::Seq,
+            SpecTier::Auto,
+        )
+        .wait()
+        .unwrap();
     }
-    rt.submit_spec(&cold_src(0), vec![0], tiny_cfg(), SchedulerKind::Seq).wait().unwrap();
+    rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
+        &cold_src(0),
+        vec![vec![0]],
+        tiny_cfg(),
+        SchedulerKind::Seq,
+        SpecTier::Auto,
+    )
+    .wait()
+    .unwrap();
     // One newcomer evicts exactly one entry — the LRU, source 1.
-    rt.submit_spec(HOT_SRC, vec![2], tiny_cfg(), SchedulerKind::Seq).wait().unwrap();
+    rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
+        HOT_SRC,
+        vec![vec![2]],
+        tiny_cfg(),
+        SchedulerKind::Seq,
+        SpecTier::Auto,
+    )
+    .wait()
+    .unwrap();
     let compiles_before = rt.stats().spec_compiles;
     // Source 0 (touched) and the newcomer are still cached…
-    rt.submit_spec(&cold_src(0), vec![0], tiny_cfg(), SchedulerKind::Seq).wait().unwrap();
-    rt.submit_spec(HOT_SRC, vec![2], tiny_cfg(), SchedulerKind::Seq).wait().unwrap();
+    rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
+        &cold_src(0),
+        vec![vec![0]],
+        tiny_cfg(),
+        SchedulerKind::Seq,
+        SpecTier::Auto,
+    )
+    .wait()
+    .unwrap();
+    rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
+        HOT_SRC,
+        vec![vec![2]],
+        tiny_cfg(),
+        SchedulerKind::Seq,
+        SpecTier::Auto,
+    )
+    .wait()
+    .unwrap();
     assert_eq!(rt.stats().spec_compiles, compiles_before, "touched and new entries survived");
     // …while source 1 was evicted and recompiles.
-    rt.submit_spec(&cold_src(1), vec![0], tiny_cfg(), SchedulerKind::Seq).wait().unwrap();
+    rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
+        &cold_src(1),
+        vec![vec![0]],
+        tiny_cfg(),
+        SchedulerKind::Seq,
+        SpecTier::Auto,
+    )
+    .wait()
+    .unwrap();
     assert_eq!(rt.stats().spec_compiles, compiles_before + 1, "the LRU entry was the victim");
 }
 
@@ -99,7 +188,14 @@ fn execution_tiers_agree_and_share_the_cache() {
     let cfg = SchedConfig::restart(4, 64, 16);
     let mut results = Vec::new();
     for tier in [SpecTier::Auto, SpecTier::Scalar, SpecTier::Simd] {
-        let h = rt.submit_spec_tier(HOT_SRC, vec![17], cfg, SchedulerKind::ReExpansion, tier);
+        let h = rt.submit_spec_foreach_tier_as(
+            DEFAULT_TENANT,
+            HOT_SRC,
+            vec![vec![17]],
+            cfg,
+            SchedulerKind::ReExpansion,
+            tier,
+        );
         results.push(h.wait().unwrap_or_else(|e| panic!("{tier:?}: {e:?}")));
     }
     assert_eq!(results, vec![1597, 1597, 1597], "all tiers are bit-identical");
@@ -111,7 +207,14 @@ fn execution_tiers_agree_and_share_the_cache() {
     let calls: Vec<Vec<i64>> = (0..50).map(|i| vec![i % 10]).collect();
     let want = 88 * 5; // sum fib(0..=9) = fib(11) - 1 = 88, cycled 5 times
     for tier in [SpecTier::Scalar, SpecTier::Simd] {
-        let h = rt.submit_spec_foreach_tier(HOT_SRC, calls.clone(), cfg, SchedulerKind::ReExpansion, tier);
+        let h = rt.submit_spec_foreach_tier_as(
+            DEFAULT_TENANT,
+            HOT_SRC,
+            calls.clone(),
+            cfg,
+            SchedulerKind::ReExpansion,
+            tier,
+        );
         assert_eq!(h.wait(), Ok(want), "{tier:?}");
     }
 }

@@ -305,6 +305,51 @@ fn mid_request_disconnect_leaves_the_server_healthy() {
     shutdown_and_audit(handle, &rt);
 }
 
+/// `shutdown_and_audit` on its own thread, so a drain that hangs fails the
+/// test with a message instead of hanging the suite.
+fn shutdown_within(handle: ServerHandle, rt: &ShardedRuntime, limit: std::time::Duration) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let rt = rt.clone();
+    let drain = std::thread::spawn(move || {
+        shutdown_and_audit(handle, &rt);
+        let _ = done_tx.send(());
+    });
+    done_rx.recv_timeout(limit).unwrap_or_else(|_| panic!("drain did not finish within {limit:?}"));
+    drain.join().expect("drain thread");
+}
+
+/// A peer that sends half a line and then stalls must not hold the drain
+/// hostage: the half-received line is dropped, not waited for.
+#[test]
+fn stalled_partial_line_does_not_block_shutdown() {
+    let (addr, handle, rt) = start_server();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(b"SUBMIT t auto [5] spec fib(n)").expect("partial write"); // no newline
+    stream.flush().expect("flush");
+    // Long enough for the connection thread to have buffered the bytes
+    // and gone back to polling; the assertion below does not depend on it.
+    std::thread::sleep(std::time::Duration::from_millis(150));
+    shutdown_within(handle, &rt, std::time::Duration::from_secs(3));
+    drop(stream);
+}
+
+/// Without a drain, a partial line that stops making progress is closed
+/// after the server's fixed stall limit (2 s) — the peer sees EOF, the
+/// slot frees, and the server keeps serving.
+#[test]
+fn stalled_partial_line_is_closed_and_frees_its_slot() {
+    let (addr, handle, rt) = start_server();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(b"SUBMIT t auto [5] spec fib(n)").expect("partial write");
+    stream.flush().expect("flush");
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("set timeout");
+    let closed = read_final_response(&mut stream).expect("server closes the stalled connection");
+    assert_eq!(closed, "", "a torn request is dropped, not answered");
+    let ok = client_roundtrip(addr, &["STATS"]).expect("server alive");
+    assert!(ok[0].starts_with("OK "), "got {:?}", ok[0]);
+    shutdown_and_audit(handle, &rt);
+}
+
 #[test]
 fn bad_specs_come_back_as_escaped_caret_diagnostics() {
     let (addr, handle, rt) = start_server();

@@ -8,7 +8,7 @@
 //! ```
 
 use taskblocks::prelude::*;
-use taskblocks::spec::{compile, interpret, parse_spec, CompiledSpec};
+use taskblocks::spec::{compile, interpret, parse_spec, CompiledSpec, SpecTier};
 
 fn main() {
     let source = "spec paren(open, close) {
@@ -62,18 +62,22 @@ fn main() {
     // validated, compiled once (cached), scheduled; bad programs come back
     // as located diagnostics instead of worker panics.
     let rt = Runtime::new(2);
-    let h = rt.submit_spec(
+    let h = rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
         source,
-        vec![0, 0],
+        vec![vec![0, 0]],
         SchedConfig::restart(16, 1 << 10, 128),
         SchedulerKind::RestartSimplified,
+        SpecTier::Auto,
     );
-    println!("\ntb-service submit_spec -> {:?}", h.wait());
-    let bad = rt.submit_spec(
+    println!("\ntb-service submit_spec_foreach_tier_as -> {:?}", h.wait());
+    let bad = rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
         "spec f(n) { base (n < 2) { reduce m; } else { spawn f(n - 1); } }",
-        vec![5],
+        vec![vec![5]],
         SchedConfig::basic(4, 64),
         SchedulerKind::Seq,
+        SpecTier::Auto,
     );
     println!(
         "and a rejected source:\n{}",

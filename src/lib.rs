@@ -16,7 +16,9 @@
 //!   (`join`, the hungry-thief signal, per-worker state, the segmented
 //!   unbounded injector);
 //! * [`service`] (`tb-service`) — the persistent multi-tenant front-end:
-//!   one shared pool, job handles, bulk submission, backpressure;
+//!   one shared pool, job handles, bulk submission, per-tenant admission
+//!   and backpressure (every submission names its tenant; the prelude
+//!   carries `DEFAULT_TENANT` for code that has none);
 //! * [`simd`] (`tb-simd`) — portable lanes, struct-of-arrays stores,
 //!   streaming compaction;
 //! * [`model`] (`tb-model`) — explicit computation trees and the Theorem
@@ -79,6 +81,6 @@ pub use tb_suite as suite;
 pub mod prelude {
     pub use tb_core::prelude::*;
     pub use tb_runtime::{PerWorker, ThreadPool, WorkerCtx};
-    pub use tb_service::{JobHandle, Runtime, RuntimeConfig};
+    pub use tb_service::{JobHandle, Runtime, RuntimeConfig, DEFAULT_TENANT};
     pub use tb_simd::{compact_append, default_q, detected_q, Lanes, Mask};
 }

@@ -608,7 +608,7 @@ fn cross_shard_conservation_with_one_shard_saturated() {
         }
     }
 
-    let shard_cfg = RuntimeConfig { threads: 1, max_inflight: CAPACITY, max_parked: 0, fifo: false };
+    let shard_cfg = RuntimeConfig { threads: 1, max_inflight: CAPACITY, max_parked: 0 };
     let rt = ShardedRuntime::with_config(ShardConfig {
         shards: vec![shard_cfg; SHARDS],
         policy: PlacementPolicy::Affinity,

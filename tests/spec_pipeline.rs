@@ -3,7 +3,7 @@
 //! scheduler → native implementation → the service front-end.
 
 use taskblocks::prelude::*;
-use taskblocks::spec::{examples, interpret, parse_spec, CompiledSpec, VectorSpec};
+use taskblocks::spec::{examples, interpret, parse_spec, CompiledSpec, SpecTier, VectorSpec};
 use taskblocks::suite::fib::fib_serial;
 use taskblocks::suite::parentheses::parentheses_serial;
 
@@ -84,21 +84,25 @@ fn spec_source_through_the_service_front_end() {
     // which parses, lowers and schedules it — then reuses the cached code
     // for a foreach resubmission under a different scheduler kind.
     let rt = Runtime::new(3);
-    let h = rt.submit_spec(
+    let h = rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
         examples::TREESUM_SOURCE,
-        vec![6, 0],
+        vec![vec![6, 0]],
         SchedConfig::restart(8, 64, 16),
         SchedulerKind::RestartSimplified,
+        SpecTier::Auto,
     );
     assert_eq!(h.wait(), Ok(examples::treesum_expected(3, 6, 1)));
 
     let calls = examples::treesum_roots(5, 24);
     let want = examples::treesum_expected(3, 5, 24);
-    let h = rt.submit_spec_foreach(
+    let h = rt.submit_spec_foreach_tier_as(
+        DEFAULT_TENANT,
         examples::TREESUM_SOURCE,
         calls,
         SchedConfig::basic(8, 32),
         SchedulerKind::ReExpansion,
+        SpecTier::Auto,
     );
     assert_eq!(h.wait(), Ok(want));
 }

@@ -272,7 +272,7 @@ fn traced_runs_reconcile_with_scheduler_counters() {
 
     // ---- Phase C: service admission, park/resume pairing ---------------
     let _ = tb_obs::drain_all();
-    let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 1, max_parked: 4, fifo: false });
+    let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 1, max_parked: 4 });
     let batch = rt.register_tenant(TenantSpec::new("batch", 8));
     let interactive = rt.register_tenant(TenantSpec::new("interactive", 8).priority(1));
     let (release, started) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
