@@ -1,8 +1,8 @@
 //! Criterion benches for the scheduler engines themselves: the same
 //! program under basic / re-expansion / restart at small and large block
-//! sizes (the ablation behind Figure 4's utilization story), plus the
-//! parallel schedulers, all driven through the uniform `run_policy` /
-//! `run_scheduler` dispatch.
+//! sizes (the ablation behind Figure 4's utilization story), plus every
+//! policy on the pool scheduler and the §3.4 reference, all driven through
+//! the uniform `run_policy` / `run_scheduler` dispatch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tb_core::prelude::*;
@@ -33,16 +33,21 @@ fn seq_policies(c: &mut Criterion) {
 fn par_schedulers(c: &mut Criterion) {
     let tree = CompTree::random_binary(60_000, 0.75, 7);
     let restart = SchedConfig::restart(8, 1 << 9, 1 << 7);
-    let reexp = SchedConfig::reexpansion(8, 1 << 9);
     let mut g = c.benchmark_group("par_scheduler");
     for workers in [1usize, 2, 4] {
         let pool = ThreadPool::new(workers);
         for (kind, cfg) in [
-            (SchedulerKind::ReExpansion, reexp),
-            (SchedulerKind::RestartSimplified, restart),
+            (SchedulerKind::Par, SchedConfig::basic(8, 1 << 9)),
+            (SchedulerKind::Par, SchedConfig::reexpansion(8, 1 << 9)),
+            (SchedulerKind::Par, restart),
+            (SchedulerKind::Par, SchedConfig::adaptive(8)),
             (SchedulerKind::RestartIdeal, restart),
         ] {
-            g.bench_with_input(BenchmarkId::new(kind.name(), workers), &workers, |b, _| {
+            let label = match kind {
+                SchedulerKind::Par => format!("par-{}", cfg.policy.name()),
+                _ => kind.name().to_string(),
+            };
+            g.bench_with_input(BenchmarkId::new(label, workers), &workers, |b, _| {
                 b.iter(|| {
                     let walk = TreeWalk::new(&tree);
                     run_scheduler(kind, &walk, cfg, Some(&pool)).stats.tasks_executed

@@ -42,11 +42,8 @@ fn main() {
         for &w in &worker_grid {
             let pool = ThreadPool::new(w);
             let scalar = base / b.cilk(&pool).stats.wall.as_secs_f64();
-            let x = base
-                / b.blocked_par(&pool, reexp, SchedulerKind::ReExpansion, Tier::Simd)
-                    .stats
-                    .wall
-                    .as_secs_f64();
+            let x =
+                base / b.blocked_par(&pool, reexp, SchedulerKind::Par, Tier::Simd).stats.wall.as_secs_f64();
             // The §3.4 restart scheduler the theory analyzes…
             let r = base
                 / b.blocked_par(&pool, restart, SchedulerKind::RestartIdeal, Tier::Simd)
@@ -56,11 +53,8 @@ fn main() {
             // …and restart on the shared pool (sequential engines that
             // split on demand), in the column the paper gives its §6
             // Cilk-embeddable simplification.
-            let rs = base
-                / b.blocked_par(&pool, restart, SchedulerKind::RestartSimplified, Tier::Simd)
-                    .stats
-                    .wall
-                    .as_secs_f64();
+            let rs =
+                base / b.blocked_par(&pool, restart, SchedulerKind::Par, Tier::Simd).stats.wall.as_secs_f64();
             for (variant, s) in [("scalar", scalar), ("reexp", x), ("restart", r), ("restart-simplified", rs)]
             {
                 sink.row(vec![name.to_string(), variant.into(), w.to_string(), format!("{s:.2}")]);

@@ -35,13 +35,13 @@ fn main() {
             let reexp = b.blocked_par(
                 &pool,
                 SchedConfig::reexpansion(args.bench_q(b.q()), block),
-                SchedulerKind::ReExpansion,
+                SchedulerKind::Par,
                 Tier::Simd,
             );
             let restart = b.blocked_par(
                 &pool,
                 SchedConfig::restart(args.bench_q(b.q()), block, block),
-                SchedulerKind::RestartSimplified,
+                SchedulerKind::Par,
                 Tier::Simd,
             );
             let best_wall = reexp.stats.wall.min(restart.stats.wall).as_secs_f64();

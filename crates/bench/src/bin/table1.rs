@@ -63,8 +63,8 @@ fn main() {
         let tp = b.cilk(&poolp);
         let t1x = b.blocked_seq(reexp, Tier::Simd);
         let t1r = b.blocked_seq(restart, Tier::Simd);
-        let tpx = b.blocked_par(&poolp, reexp, SchedulerKind::ReExpansion, Tier::Simd);
-        let tpr = b.blocked_par(&poolp, restart, SchedulerKind::RestartSimplified, Tier::Simd);
+        let tpx = b.blocked_par(&poolp, reexp, SchedulerKind::Par, Tier::Simd);
+        let tpr = b.blocked_par(&poolp, restart, SchedulerKind::Par, Tier::Simd);
 
         for (name, run) in
             [("T1", &t1), ("TP", &tp), ("T1x", &t1x), ("T1r", &t1r), ("TPx", &tpx), ("TPr", &tpr)]

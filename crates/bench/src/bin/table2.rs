@@ -43,15 +43,14 @@ fn main() {
             SchedConfig::reexpansion(args.bench_q(b.q()), block),
             SchedConfig::restart(args.bench_q(b.q()), block, rb),
         ];
-        let kinds = [SchedulerKind::ReExpansion, SchedulerKind::RestartSimplified];
         let ts = b.serial().stats.wall.as_secs_f64();
 
         one.scalar.push(ts / b.cilk(&pool1).stats.wall.as_secs_f64());
         par.scalar.push(ts / b.cilk(&poolp).stats.wall.as_secs_f64());
-        for (p, (cfg, kind)) in cfgs.iter().zip(kinds).enumerate() {
+        for (p, cfg) in cfgs.iter().enumerate() {
             for (t, tier) in tiers.iter().enumerate() {
                 let s1 = b.blocked_seq(*cfg, *tier).stats.wall.as_secs_f64();
-                let sp = b.blocked_par(&poolp, *cfg, kind, *tier).stats.wall.as_secs_f64();
+                let sp = b.blocked_par(&poolp, *cfg, SchedulerKind::Par, *tier).stats.wall.as_secs_f64();
                 one.tiers[p][t].push(ts / s1);
                 par.tiers[p][t].push(ts / sp);
             }

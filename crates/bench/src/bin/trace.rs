@@ -6,8 +6,10 @@
 //! one track per worker thread, duration spans for spec-tier execution,
 //! async spans for jobs crossing park/resume, instants for everything else.
 //!
-//! `<variant>` is `basic` (re-expansion's warm-up phase, §3.2), `restart`
-//! (`ParRestartIdeal`, §3.4) or `adaptive`; `--smoke` runs the tiny input.
+//! `<variant>` is `basic` (§3.1, on the pool scheduler that splits on
+//! demand), `restart` (`ParRestartIdeal`, §3.4) or `adaptive` (the grain
+//! ramp, on the same pool scheduler as `basic`); `--smoke` runs the tiny
+//! input.
 //! The file is self-validated with `tb_bench::trace_check` and the command
 //! exits 1 if its own output fails the checker, 2 on a usage error.
 
@@ -62,9 +64,9 @@ fn run(args: &TraceArgs) -> Result<(), (i32, String)> {
     let b = benchmark_by_name(&args.bench, scale)
         .ok_or_else(|| (2, format!("unknown benchmark {:?}\n{USAGE}", args.bench)))?;
     let (cfg, kind) = match args.variant.as_str() {
-        "basic" => (SchedConfig::basic(b.q(), T_DFE), SchedulerKind::ReExpansion),
+        "basic" => (SchedConfig::basic(b.q(), T_DFE), SchedulerKind::Par),
         "restart" => (SchedConfig::restart(b.q(), T_DFE, T_RESTART), SchedulerKind::RestartIdeal),
-        "adaptive" => (SchedConfig::adaptive(b.q()), SchedulerKind::Adaptive),
+        "adaptive" => (SchedConfig::adaptive(b.q()), SchedulerKind::Par),
         other => return Err((2, format!("unknown variant {other:?}\n{USAGE}"))),
     };
 

@@ -151,9 +151,17 @@ mod tests {
     fn uncancelled_wrapper_is_transparent() {
         let token = CancelToken::new();
         let prog = Cancellable::new(Tree(10), token.clone());
-        for kind in SchedulerKind::ALL {
-            let out = run_scheduler_on(kind, &prog, SchedConfig::restart(4, 64, 16), 2);
-            assert_eq!(out.reducer, 1 << 10, "{kind:?}");
+        let configs = [
+            SchedConfig::basic(4, 64),
+            SchedConfig::reexpansion(4, 64),
+            SchedConfig::restart(4, 64, 16),
+            SchedConfig::adaptive(4),
+        ];
+        for cfg in configs {
+            for kind in SchedulerKind::ALL {
+                let out = run_scheduler_on(kind, &prog, cfg, 2);
+                assert_eq!(out.reducer, 1 << 10, "{kind:?} {:?}", cfg.policy);
+            }
         }
         assert!(!token.is_cancelled());
     }
@@ -180,8 +188,7 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_micros(200));
                 t.cancel();
             });
-            let out =
-                run_scheduler_on(SchedulerKind::ReExpansion, &prog, SchedConfig::reexpansion(4, 256), 2);
+            let out = run_scheduler_on(SchedulerKind::Par, &prog, SchedConfig::reexpansion(4, 256), 2);
             assert!(out.reducer <= 1 << 22);
         });
         assert!(token.is_cancelled());

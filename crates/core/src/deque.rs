@@ -711,18 +711,6 @@ impl<S: TaskStore> SharedLeveledDeque<S> {
         )
     }
 
-    /// The deque's steal epoch: a monotone count of tasks thieves have
-    /// ever taken from it — the owner's cheap "stolen since last check"
-    /// signal, mirroring `tb_runtime::deque::Worker::steal_epoch` on the
-    /// job deque. Relaxed on both sides: the owner only compares it
-    /// against a cached snapshot to decide grain, never synchronizes with
-    /// the stolen data through it. Owner removals (`take_level`, the
-    /// merge-scan) never advance it.
-    pub fn steal_epoch(&self) -> u64 {
-        const MASK: u64 = (1 << OCC_BLOCK_SHIFT) - 1;
-        self.thief_taken.load(Ordering::Relaxed) & MASK
-    }
-
     /// Approximate number of parked blocks (exact at quiescent points).
     pub fn block_count(&self) -> usize {
         self.counts().0
@@ -1290,26 +1278,6 @@ mod shared_tests {
         assert_eq!(d.find_restart_full(4, &mut merges).unwrap().level, 12);
         assert!(d.find_restart_full(4, &mut merges).is_none());
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn steal_epoch_advances_only_on_thief_removals() {
-        let d: SharedLeveledDeque<Vec<u32>> = SharedLeveledDeque::new();
-        assert_eq!(d.steal_epoch(), 0);
-        d.push_dfe(blk(2, 5));
-        d.push_dfe(blk(6, 4));
-        assert_eq!(d.steal_epoch(), 0, "owner pushes never advance the epoch");
-        // Owner removals are not steals.
-        assert_eq!(d.take_level(6).unwrap().len(), 4);
-        let mut merges = 0;
-        assert_eq!(d.find_restart_full(4, &mut merges).unwrap().len(), 5);
-        assert_eq!(d.steal_epoch(), 0, "owner takes and merge-scans never advance the epoch");
-        // A thief's steal_half advances it by the tasks it took.
-        d.push_dfe(blk(3, 7));
-        let loot = d.steal_half(4).expect("level 3 is stealable");
-        let took = (loot.primary.len() + loot.leftover.as_ref().map_or(0, TaskBlock::len)) as u64;
-        assert_eq!(d.steal_epoch(), took);
-        assert!(took >= 1);
     }
 
     #[test]

@@ -25,11 +25,13 @@
 //!
 //! Combining these yields the scheduler families analysed in the paper:
 //! [`PolicyKind::Basic`], [`PolicyKind::ReExpansion`] (Ren et al. PLDI'15),
-//! and [`PolicyKind::Restart`] (new in PPoPP'17, asymptotically optimal).
-//! The [`par`] module extends all of them with Cilk-style work stealing,
-//! and adds [`PolicyKind::Adaptive`]: steal-driven per-worker grain control
-//! (a [`GrainController`] per worker) that replaces the hand-tuned
-//! `t_dfe`/`t_bfe`/`t_restart` cutoffs entirely.
+//! and [`PolicyKind::Restart`] (new in PPoPP'17, asymptotically optimal),
+//! plus [`PolicyKind::Adaptive`], a geometric grain ramp (a
+//! [`GrainController`]) that replaces the hand-tuned
+//! `t_dfe`/`t_bfe`/`t_restart` cutoffs entirely. One sequential engine
+//! runs every policy; the [`par`] module takes it multicore by splitting
+//! its frontier whenever a work-stealing thief is hungry, plus the §3.4
+//! reference scheduler the theory analyses.
 //!
 //! ## Plugging in a program
 //!
@@ -68,9 +70,9 @@
 //! ```
 //!
 //! Passing a [`tb_runtime::ThreadPool`] to the same [`run_policy`] call
-//! dispatches to the policy's multicore scheduler; [`run_scheduler`] picks
-//! one of the five implementations explicitly. See the [`scheduler`]
-//! module for the trait behind both.
+//! runs the same policy on the pool, splitting on demand; [`run_scheduler`]
+//! picks one of the three implementations explicitly. See the
+//! [`scheduler`] module for the trait behind both.
 
 pub mod block;
 pub mod cancel;
@@ -99,7 +101,7 @@ pub use stats::ExecStats;
 pub mod prelude {
     pub use crate::block::{TaskBlock, TaskStore};
     pub use crate::cancel::{CancelToken, Cancellable};
-    pub use crate::par::{ParAdaptive, ParReExpansion, ParRestart, ParRestartIdeal};
+    pub use crate::par::{ParRestartIdeal, ParSplit};
     pub use crate::policy::{GrainController, PolicyKind, SchedConfig};
     pub use crate::program::{merge_sum, BlockProgram, BucketSet, ProgramShape, RunOutput};
     pub use crate::scheduler::{

@@ -17,13 +17,13 @@ pub enum PolicyKind {
     /// to assemble a full block anywhere in the tree. Θ(n/Q + h), i.e.
     /// asymptotically optimal (Theorem 3).
     Restart,
-    /// Steal-driven grain control replacing the hand-tuned cutoffs: each
-    /// worker advances depth-first with a block budget that starts at `Q`
-    /// and grows geometrically while its deque's steal epoch stays quiet,
-    /// and resets (forcing an eager re-expansion that republishes work)
-    /// when a thief is observed — the rayon-adaptive idiom, blended with
-    /// the DCAFE injector-depth signal. Subsumes the fixed
-    /// `t_dfe`/`t_bfe`/`t_restart` triple; see [`GrainController`].
+    /// Grain control replacing the hand-tuned cutoffs: the engine ramps
+    /// breadth-first with a block budget that starts at `Q` and doubles
+    /// per BFE until a block reaches it, then runs depth-first (basic's
+    /// ramp-up with no hand-set `t_dfe`). On the pool, parallelism comes
+    /// from splitting the engine's frontier when a thief is hungry, the
+    /// rayon-adaptive idiom. Subsumes the fixed `t_dfe`/`t_bfe`/`t_restart`
+    /// triple; see [`GrainController`].
     Adaptive,
 }
 
@@ -147,10 +147,10 @@ impl SchedConfig {
     }
 
     /// Adaptive scheduler: no hand-tuned cutoffs. The only parameter is
-    /// `Q` — the grain floor the per-worker [`GrainController`] resets to
-    /// when stolen from and grows geometrically from while quiet. `t_dfe`
-    /// is set to the controller's grain *cap* (`Q × 2^10`), which doubles
-    /// as the root strip size; `t_bfe`/`t_restart` are unused.
+    /// `Q` — the grain floor the engine's [`GrainController`] starts from
+    /// and grows geometrically. `t_dfe` is set to the controller's grain
+    /// *cap* (`Q × 2^10`), which doubles as the root strip size;
+    /// `t_bfe`/`t_restart` are unused.
     ///
     /// ```
     /// use tb_core::prelude::*;
@@ -252,46 +252,29 @@ impl SchedConfig {
     }
 }
 
-/// The per-worker grain state machine behind [`PolicyKind::Adaptive`]: a
-/// pure function of two observations, deliberately free of threads, clocks
-/// and randomness so its transitions are unit-testable.
-///
-/// * **Steal epoch** ([`GrainController::observe`]): each worker deque
-///   counts successful thief claims. While the worker's epoch is quiet the
-///   worker owns all the parallelism it has published, so executing bigger
-///   depth-first blocks only saves scheduling actions; the grain grows
-///   geometrically. The moment the epoch advances, someone is hungry —
-///   the grain resets to `Q` so the next blocks are small, re-expand
-///   breadth-first, and republish stealable work fast (the rayon-adaptive
-///   "split only when stolen" idiom, in blocked form).
-/// * **Injector depth** ([`GrainController::grow`]): a deep pool injector
-///   means parallelism is already over-published; growing faster sheds
-///   scheduling overhead (the DCAFE queue-depth signal, shared with the
-///   service layer's bulk chunking via [`GrainController::chunk_len`]).
+/// The grain ramp behind [`PolicyKind::Adaptive`]: a block budget that
+/// starts at `Q` and doubles once per breadth-first step up to a cap, a
+/// pure state machine free of threads, clocks and randomness. The engine
+/// goes depth-first once a block reaches the current grain, so the ramp
+/// stops exactly when blocks are as large as it has grown — basic's
+/// warm-up without a hand-set `t_dfe`. The grain is part of the parked
+/// frontier, so the ramp is park/resume-exact.
 ///
 /// ```
 /// use tb_core::GrainController;
 ///
 /// let mut g = GrainController::new(4);
 /// assert_eq!(g.grain(), 4);
-/// g.observe(0); // first call primes the snapshot
-/// assert!(g.grow(0, 4)); // quiet: ×2
-/// assert!(g.grow(0, 4));
+/// assert!(g.grow()); // ×2
+/// assert!(g.grow());
 /// assert_eq!(g.grain(), 16);
-/// assert_eq!(g.observe(3), 3); // 3 steals since last check → reset
-/// assert_eq!(g.grain(), 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GrainController {
-    /// The grain floor (and reset value): the config's `Q`.
-    q: usize,
     /// Current block budget in tasks.
     grain: usize,
     /// Growth ceiling.
     cap: usize,
-    /// Last steal epoch seen; `None` until the first `observe` primes it
-    /// (a pre-existing epoch must not read as a fresh steal).
-    epoch: Option<u64>,
 }
 
 impl GrainController {
@@ -302,18 +285,18 @@ impl GrainController {
     /// A controller with grain floor `q` and the default cap.
     pub fn new(q: usize) -> Self {
         let q = q.max(1);
-        GrainController { q, grain: q, cap: q << Self::CAP_SHIFT, epoch: None }
+        GrainController { grain: q, cap: q << Self::CAP_SHIFT }
     }
 
     /// A controller for `cfg`: floor `cfg.q`, cap `cfg.t_dfe`. For configs
     /// built by [`SchedConfig::adaptive`] the cap is the default one; a
-    /// fixed-cutoff config coerced via
+    /// fixed-cutoff config switched via
     /// [`SchedConfig::with_policy`]`(PolicyKind::Adaptive)` keeps its own
     /// `t_dfe` as the ceiling, so block sizes never exceed what the caller
     /// already accepted.
     pub fn for_config(cfg: &SchedConfig) -> Self {
         let q = cfg.q.max(1);
-        GrainController { q, grain: q, cap: cfg.t_dfe.max(q), epoch: None }
+        GrainController { grain: q, cap: cfg.t_dfe.max(q) }
     }
 
     /// The current block budget, in tasks.
@@ -322,54 +305,14 @@ impl GrainController {
         self.grain
     }
 
-    /// Feed the worker's current steal epoch. Returns how many epochs
-    /// advanced since the last check (0 = quiet); any advance resets the
-    /// grain to `Q`. The first call only primes the snapshot.
+    /// One breadth-first step passed: double the grain, up to the cap.
+    /// Returns whether the grain changed (false once at the cap).
     #[inline]
-    pub fn observe(&mut self, epoch: u64) -> u64 {
-        let advanced = match self.epoch {
-            Some(prev) => epoch.wrapping_sub(prev),
-            None => 0,
-        };
-        self.epoch = Some(epoch);
-        if advanced > 0 {
-            self.grain = self.q;
-        }
-        advanced
-    }
-
-    /// One quiet interval passed: grow the grain geometrically — ×2, or ×4
-    /// when the pool injector is at least `workers` deep (parallelism is
-    /// over-published; coarsen faster). Returns whether the grain changed
-    /// (false once at the cap).
-    #[inline]
-    pub fn grow(&mut self, injector_depth: usize, workers: usize) -> bool {
-        let factor = if injector_depth > 0 && injector_depth >= workers.max(1) { 4 } else { 2 };
-        let next = self.grain.saturating_mul(factor).min(self.cap);
+    pub fn grow(&mut self) -> bool {
+        let next = self.grain.saturating_mul(2).min(self.cap);
         let changed = next != self.grain;
         self.grain = next;
         changed
-    }
-
-    /// DCAFE-style bulk chunk sizing (shared with `tb-service`'s bulk
-    /// submission): start from a few chunks per worker and coarsen with
-    /// the observed queue depth — when plenty of jobs are already pending,
-    /// fine-grained chunking only adds overhead. Always in `1..=items`
-    /// for nonzero `items`.
-    pub fn chunk_len(items: usize, workers: usize, queue_depth: usize) -> usize {
-        /// Idle-queue target: enough chunks per worker to balance, few
-        /// enough to keep per-chunk overhead negligible.
-        const CHUNKS_PER_WORKER: usize = 4;
-        if items == 0 {
-            return 1;
-        }
-        let workers = workers.max(1);
-        let base = items.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-        // Each `workers` jobs already queued double the chunk: depth 0 →
-        // ×1, depth = workers → ×2, etc., capped so a chunk is never
-        // larger than the whole bulk.
-        let factor = (queue_depth / workers).saturating_add(1);
-        base.saturating_mul(factor).min(items)
     }
 }
 
@@ -420,84 +363,40 @@ mod tests {
         assert_eq!(cfg.policy, PolicyKind::Adaptive);
         assert_eq!(cfg.t_dfe, 8 << GrainController::CAP_SHIFT);
         assert_eq!(cfg.t_restart, 0);
-        // Coercion to the fixed policies still validates (the doctest in
-        // `scheduler` drives one config through every kind).
+        // Switching to a fixed policy still validates (the §3.4 reference
+        // coerces every config it is handed to restart).
         let r = cfg.with_policy(PolicyKind::Restart);
         assert_eq!(r.t_restart, 8);
     }
 
-    // The deterministic unit rig for the grain state machine: grow, reset
-    // and cap transitions as a pure function — no threads, no clocks.
+    // The deterministic unit rig for the grain state machine: grow and
+    // cap transitions as a pure function — no threads, no clocks.
 
     #[test]
     fn grain_grows_geometrically_and_caps() {
         let mut g = GrainController::new(4);
         assert_eq!(g.grain(), 4);
         let mut sizes = vec![g.grain()];
-        while g.grow(0, 4) {
+        while g.grow() {
             sizes.push(g.grain());
         }
         // 4 → 8 → … → 4096: pure doubling up to q << CAP_SHIFT.
         assert_eq!(sizes.last(), Some(&(4 << GrainController::CAP_SHIFT)));
         assert!(sizes.windows(2).all(|w| w[1] == w[0] * 2));
         // At the cap further growth reports no change.
-        assert!(!g.grow(0, 4));
+        assert!(!g.grow());
         assert_eq!(g.grain(), 4 << GrainController::CAP_SHIFT);
-    }
-
-    #[test]
-    fn deep_injector_quadruples_empty_injector_doubles() {
-        let mut fast = GrainController::new(4);
-        let mut slow = GrainController::new(4);
-        assert!(fast.grow(8, 4)); // depth ≥ workers: ×4
-        assert!(slow.grow(0, 4)); // idle: ×2
-        assert_eq!(fast.grain(), 16);
-        assert_eq!(slow.grain(), 8);
-        // Depth below the worker count is not "deep".
-        let mut g = GrainController::new(4);
-        g.grow(3, 4);
-        assert_eq!(g.grain(), 8);
-    }
-
-    #[test]
-    fn observe_primes_then_resets_on_any_advance() {
-        let mut g = GrainController::new(2);
-        // Priming against a nonzero pre-existing epoch is not a steal.
-        assert_eq!(g.observe(41), 0);
-        g.grow(0, 1);
-        g.grow(0, 1);
-        assert_eq!(g.grain(), 8);
-        // Quiet check: grain untouched.
-        assert_eq!(g.observe(41), 0);
-        assert_eq!(g.grain(), 8);
-        // Any advance resets to Q and reports the consumed epochs.
-        assert_eq!(g.observe(44), 3);
-        assert_eq!(g.grain(), 2);
-        // The snapshot moved: the same epochs are not consumed twice.
-        assert_eq!(g.observe(44), 0);
     }
 
     #[test]
     fn for_config_caps_at_the_configs_t_dfe() {
         let cfg = SchedConfig::restart(4, 64, 16).with_policy(PolicyKind::Adaptive);
         let mut g = GrainController::for_config(&cfg);
-        while g.grow(0, 4) {}
-        assert_eq!(g.grain(), 64, "a coerced config keeps its own t_dfe as the ceiling");
+        while g.grow() {}
+        assert_eq!(g.grain(), 64, "a switched config keeps its own t_dfe as the ceiling");
         let native = SchedConfig::adaptive(4);
         let mut g = GrainController::for_config(&native);
-        while g.grow(0, 4) {}
+        while g.grow() {}
         assert_eq!(g.grain(), 4 << GrainController::CAP_SHIFT);
-    }
-
-    #[test]
-    fn chunk_len_matches_the_bulk_contract() {
-        // Idle queue: a few chunks per worker.
-        assert_eq!(GrainController::chunk_len(1024, 4, 0), 64);
-        // Deep queue coarsens: depth = 2×workers → ×3.
-        assert_eq!(GrainController::chunk_len(1024, 4, 8), 192);
-        // Degenerate inputs stay sane.
-        assert_eq!(GrainController::chunk_len(0, 4, 0), 1);
-        assert_eq!(GrainController::chunk_len(5, 128, 0), 1);
-        assert!(GrainController::chunk_len(10, 1, usize::MAX) <= 10);
     }
 }

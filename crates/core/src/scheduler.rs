@@ -1,77 +1,73 @@
-//! One driving surface for all five schedulers.
+//! One driving surface for all three schedulers.
 //!
-//! The framework ships five scheduler implementations — the sequential
-//! engine ([`SeqScheduler`]) and four multicore schedulers
-//! ([`ParReExpansion`], [`ParRestart`], [`ParRestartIdeal`],
-//! [`ParAdaptive`]) —
-//! which historically exposed ad-hoc entry points (`run()`, `run(&pool)`,
-//! `run()` with a worker count baked in at construction). Everything that
+//! The framework ships three scheduler implementations — the sequential
+//! engine ([`SeqScheduler`]), the pool scheduler that runs that engine
+//! under any policy and splits it on demand ([`ParSplit`]), and the §3.4
+//! reference the theory analyses ([`ParRestartIdeal`]). Everything that
 //! *drives* schedulers — the benchmark suite, the figure/table harness
 //! binaries, the examples, the equivalence tests — only needs "run this
 //! program under that policy on these cores", so this module provides
 //! exactly that:
 //!
-//! * [`Scheduler`] — the uniform trait, implemented by all five types:
+//! * [`Scheduler`] — the uniform trait, implemented by all three types:
 //!   a name for tables, the [`SchedConfig`] it runs with, and
 //!   [`Scheduler::run_with`] taking an optional [`ThreadPool`];
-//! * [`SchedulerKind`] — a value-level selector for the five
+//! * [`SchedulerKind`] — a value-level selector for the three
 //!   implementations, so harness code can iterate over them;
 //! * [`run_policy`] — the one-call dispatcher: sequential when no pool is
-//!   given, the policy's multicore scheduler when one is;
+//!   given, [`ParSplit`] under the config's own policy when one is;
 //! * [`run_scheduler`] — the explicit-kind variant for callers that need
-//!   to distinguish the two parallel restart implementations.
+//!   the §3.4 reference as well.
 //!
-//! Downstream code should come through these entry points; naming the
-//! concrete scheduler types is reserved for scheduler-specific unit tests
-//! (e.g. tests that drive [`SeqScheduler::step`] one event at a time).
+//! Only the §3.4 reference rewrites `cfg.policy` (to restart). Downstream code
+//! should come through these entry points; naming the concrete scheduler
+//! types is reserved for scheduler-specific unit tests (e.g. tests that
+//! drive [`SeqScheduler::step`] one event at a time).
 
 use tb_runtime::{ThreadPool, WorkerCtx};
 
-use crate::par::{ParAdaptive, ParReExpansion, ParRestart, ParRestartIdeal};
-use crate::policy::{PolicyKind, SchedConfig};
+use crate::par::{ParRestartIdeal, ParSplit};
+use crate::policy::SchedConfig;
 use crate::program::{BlockProgram, RunOutput};
 use crate::seq::SeqScheduler;
 
-/// The five scheduler implementations, as a value.
+/// The three scheduler implementations, as a value. `Seq` and `Par` honour
+/// `cfg.policy` (basic / re-expansion / restart / adaptive) exactly;
+/// `RestartIdeal` is a restart scheduler by definition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
-    /// Single-core engine; honours `cfg.policy` exactly
-    /// (basic / re-expansion / restart / adaptive).
+    /// Single-core engine ([`SeqScheduler`]).
     Seq,
-    /// Fig. 3(a): blocked re-expansion on the work-stealing pool.
-    ReExpansion,
-    /// Restart on the work-stealing pool ([`ParRestart`]): sequential
-    /// restart engines that split only when a thief is hungry. The name is
-    /// the paper's (§6 evaluates its pool embedding as "simplified
-    /// restart"); the Fig. 3(c) fork-per-block mechanics are retired.
-    RestartSimplified,
+    /// The sequential engine on the work-stealing pool, splitting its
+    /// frontier only when a thief is hungry ([`ParSplit`]).
+    Par,
     /// §3.4: ideal restart on dedicated workers with stealable leveled
-    /// deques (the formulation the theory analyses).
+    /// deques (the formulation the theory analyses; the policy field is
+    /// coerced to `Restart`).
     RestartIdeal,
-    /// Steal-driven per-worker grain control on the work-stealing pool:
-    /// re-expansion's loop with a live grain instead of fixed cutoffs
-    /// (see [`crate::GrainController`]).
-    Adaptive,
 }
 
+#[allow(non_upper_case_globals)]
 impl SchedulerKind {
-    /// All five kinds, sequential first.
-    pub const ALL: [SchedulerKind; 5] = [
-        SchedulerKind::Seq,
-        SchedulerKind::ReExpansion,
-        SchedulerKind::RestartSimplified,
-        SchedulerKind::RestartIdeal,
-        SchedulerKind::Adaptive,
-    ];
+    /// All three kinds, sequential first.
+    pub const ALL: [SchedulerKind; 3] = [SchedulerKind::Seq, SchedulerKind::Par, SchedulerKind::RestartIdeal];
+
+    /// Former name of [`SchedulerKind::Par`] under the restart policy,
+    /// kept so pinned callers compile; a name, not a second path.
+    #[doc(hidden)]
+    pub const RestartSimplified: SchedulerKind = SchedulerKind::Par;
+
+    /// Former name of [`SchedulerKind::Par`] under the adaptive policy,
+    /// kept so pinned callers compile; a name, not a second path.
+    #[doc(hidden)]
+    pub const Adaptive: SchedulerKind = SchedulerKind::Par;
 
     /// Short name used in tables and CSV headers.
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::Seq => "seq",
-            SchedulerKind::ReExpansion => "par-reexp",
-            SchedulerKind::RestartSimplified => "par-restart",
+            SchedulerKind::Par => "par",
             SchedulerKind::RestartIdeal => "par-restart-ideal",
-            SchedulerKind::Adaptive => "par-adaptive",
         }
     }
 
@@ -79,25 +75,9 @@ impl SchedulerKind {
     pub fn is_parallel(self) -> bool {
         self != SchedulerKind::Seq
     }
-
-    /// The kind [`run_policy`] would select for `policy` given a pool.
-    pub fn for_policy(policy: PolicyKind, parallel: bool) -> SchedulerKind {
-        if !parallel {
-            SchedulerKind::Seq
-        } else {
-            match policy {
-                // There is no dedicated parallel basic scheduler; basic's
-                // BFE-then-DFE behaviour is the re-expansion scheduler's
-                // warm-up phase, so Basic maps there (§3.2).
-                PolicyKind::Basic | PolicyKind::ReExpansion => SchedulerKind::ReExpansion,
-                PolicyKind::Restart => SchedulerKind::RestartSimplified,
-                PolicyKind::Adaptive => SchedulerKind::Adaptive,
-            }
-        }
-    }
 }
 
-/// Uniform driver interface over the four schedulers.
+/// Uniform driver interface over the three schedulers.
 ///
 /// A `Scheduler` is a program paired with a [`SchedConfig`]; `run_with`
 /// executes it to completion and returns the merged reduction plus
@@ -105,8 +85,8 @@ impl SchedulerKind {
 /// implementation:
 ///
 /// * [`SeqScheduler`] ignores it (always single-core);
-/// * the pool-based schedulers run on it, or on an ephemeral pool sized to
-///   the machine when `None` is given;
+/// * [`ParSplit`] runs on it, or on an ephemeral pool sized to the
+///   machine when `None` is given;
 /// * [`ParRestartIdeal`] runs on its own dedicated threads, sized to the
 ///   pool if one is given (it only borrows the *count*, never the threads).
 pub trait Scheduler<P: BlockProgram> {
@@ -133,15 +113,12 @@ pub(crate) fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Run `prog` under `cfg` on the policy's canonical scheduler: the
-/// sequential engine when `pool` is `None`, the policy's multicore
-/// scheduler on `pool` otherwise (re-expansion for
-/// [`PolicyKind::Basic`]/[`PolicyKind::ReExpansion`], split-on-demand
-/// restart for [`PolicyKind::Restart`]).
+/// Run `prog` under `cfg`: the sequential engine when `pool` is `None`,
+/// [`SchedulerKind::Par`] on `pool` otherwise — the same engine under the
+/// same policy, split across workers on demand.
 ///
 /// This is the entry point benchmarks, harness binaries and examples
-/// should use; see [`run_scheduler`] when the choice between the two
-/// parallel restart implementations matters.
+/// should use; see [`run_scheduler`] for the §3.4 reference scheduler.
 ///
 /// # Examples
 ///
@@ -180,12 +157,13 @@ pub(crate) fn default_workers() -> usize {
 ///     SchedConfig::basic(4, 64),
 ///     SchedConfig::reexpansion_with(4, 64, 32),
 ///     SchedConfig::restart(4, 64, 16),
+///     SchedConfig::adaptive(4),
 /// ];
 ///
 /// for cfg in configs {
 ///     // No pool: the sequential engine honours cfg.policy exactly.
 ///     assert_eq!(run_policy(&Tree(8), cfg, None).reducer, 1 << 8);
-///     // With a pool: the policy's canonical multicore scheduler.
+///     // With a pool: the same policy, split across workers on demand.
 ///     let pool = ThreadPool::new(2);
 ///     assert_eq!(run_policy(&Tree(8), cfg, Some(&pool)).reducer, 1 << 8);
 /// }
@@ -195,21 +173,22 @@ pub fn run_policy<P: BlockProgram>(
     cfg: SchedConfig,
     pool: Option<&ThreadPool>,
 ) -> RunOutput<P::Reducer> {
-    run_scheduler(SchedulerKind::for_policy(cfg.policy, pool.is_some()), prog, cfg, pool)
+    let kind = if pool.is_some() { SchedulerKind::Par } else { SchedulerKind::Seq };
+    run_scheduler(kind, prog, cfg, pool)
 }
 
 /// Run `prog` under `cfg` on an explicitly chosen scheduler
 /// implementation. `pool` is interpreted as documented on [`Scheduler`];
-/// note that the pool-based kinds construct an ephemeral machine-sized
+/// note that [`SchedulerKind::Par`] constructs an ephemeral machine-sized
 /// pool *per call* when `pool` is `None` — callers timing runs or looping
 /// should create one pool and pass it.
 ///
 /// # Examples
 ///
-/// All four implementations agree on the reduction; the restart kinds
-/// additionally let you choose between the pool-resident one (sequential
-/// engines that split on demand) and the §3.4 ideal scheduler (lock-free
-/// stealable leveled deques) the theory analyses:
+/// All three implementations agree on the reduction; under restart you
+/// can choose between the pool-resident engine that splits on demand and
+/// the §3.4 ideal scheduler (lock-free stealable leveled deques) the
+/// theory analyses:
 ///
 /// ```
 /// use tb_core::prelude::*;
@@ -248,8 +227,7 @@ pub fn run_scheduler<P: BlockProgram>(
 ) -> RunOutput<P::Reducer> {
     match kind {
         SchedulerKind::Seq => SeqScheduler::new(prog, cfg).run_with(pool),
-        SchedulerKind::ReExpansion => ParReExpansion::new(prog, cfg).run_with(pool),
-        SchedulerKind::RestartSimplified => ParRestart::new(prog, cfg).run_with(pool),
+        SchedulerKind::Par => ParSplit::new(prog, cfg).run_with(pool),
         SchedulerKind::RestartIdeal => {
             // Resolve the worker count here (not via default_workers()
             // unconditionally): with a pool supplied this stays syscall-free,
@@ -257,7 +235,6 @@ pub fn run_scheduler<P: BlockProgram>(
             let workers = pool.map_or_else(default_workers, ThreadPool::threads);
             ParRestartIdeal::new(prog, cfg, workers).run_with(pool)
         }
-        SchedulerKind::Adaptive => ParAdaptive::new(prog, cfg).run_with(pool),
     }
 }
 
@@ -265,17 +242,15 @@ pub fn run_scheduler<P: BlockProgram>(
 /// context of the worker executing the current job. This is the service
 /// layer's entry point — `ThreadPool::install` must not be called from a
 /// worker, so a job that wants to run a whole scheduler (a submitted
-/// `tb-service` job) comes through here instead. The join-based recursion
-/// fans out across the pool exactly as under [`run_scheduler`], and many
-/// such runs can coexist on one pool, each with its own per-worker state.
+/// `tb-service` job) comes through here instead. Splits fan out across
+/// the pool exactly as under [`run_scheduler`], and many such runs can
+/// coexist on one pool.
 ///
 /// Kind mapping from inside the pool:
 ///
 /// * [`SchedulerKind::Seq`] runs inline on this worker (it never forks);
-/// * [`SchedulerKind::ReExpansion`] / [`SchedulerKind::Adaptive`] run on
-///   the pool via the worker's own fork/join context;
-/// * [`SchedulerKind::RestartSimplified`] runs as a sequential engine on
-///   this worker and forks only when another worker is hungry;
+/// * [`SchedulerKind::Par`] runs as a sequential engine on this worker
+///   and forks only when another worker is hungry;
 /// * [`SchedulerKind::RestartIdeal`] keeps its §3.4 semantics: it runs on
 ///   its *own dedicated threads* (sized to this pool), with the submitting
 ///   worker blocked driving them — correct, but it oversubscribes the
@@ -288,22 +263,19 @@ pub fn run_scheduler_on_ctx<P: BlockProgram>(
 ) -> RunOutput<P::Reducer> {
     match kind {
         SchedulerKind::Seq => SeqScheduler::new(prog, cfg).run(),
-        SchedulerKind::ReExpansion => ParReExpansion::new(prog, cfg).run_on(ctx),
-        SchedulerKind::RestartSimplified => ParRestart::new(prog, cfg).run_on(ctx),
+        SchedulerKind::Par => ParSplit::new(prog, cfg).run_on(ctx),
         SchedulerKind::RestartIdeal => ParRestartIdeal::new(prog, cfg, ctx.num_workers()).run(),
-        SchedulerKind::Adaptive => ParAdaptive::new(prog, cfg).run_on(ctx),
     }
 }
 
-/// [`run_policy`]'s in-pool counterpart: map `cfg.policy` to its canonical
-/// multicore scheduler (the [`SchedulerKind::for_policy`] mapping) and run
-/// it on the executing worker's pool via [`run_scheduler_on_ctx`].
+/// [`run_policy`]'s in-pool counterpart: run [`SchedulerKind::Par`] under
+/// `cfg.policy` on the executing worker's pool via [`run_scheduler_on_ctx`].
 pub fn run_policy_on_ctx<P: BlockProgram>(
     prog: &P,
     cfg: SchedConfig,
     ctx: &WorkerCtx<'_>,
 ) -> RunOutput<P::Reducer> {
-    run_scheduler_on_ctx(SchedulerKind::for_policy(cfg.policy, true), prog, cfg, ctx)
+    run_scheduler_on_ctx(SchedulerKind::Par, prog, cfg, ctx)
 }
 
 /// Like [`run_scheduler`], but parameterised by a worker *count* instead of
@@ -319,7 +291,7 @@ pub fn run_scheduler_on<P: BlockProgram>(
 ) -> RunOutput<P::Reducer> {
     match kind {
         SchedulerKind::Seq => SeqScheduler::new(prog, cfg).run(),
-        SchedulerKind::ReExpansion | SchedulerKind::RestartSimplified | SchedulerKind::Adaptive => {
+        SchedulerKind::Par => {
             let pool = ThreadPool::new(workers);
             run_scheduler(kind, prog, cfg, Some(&pool))
         }
@@ -366,11 +338,18 @@ mod tests {
         }
     }
 
+    fn every_policy() -> [SchedConfig; 4] {
+        [
+            SchedConfig::basic(4, 64),
+            SchedConfig::reexpansion(4, 64),
+            SchedConfig::restart(4, 64, 16),
+            SchedConfig::adaptive(4),
+        ]
+    }
+
     #[test]
     fn run_policy_dispatches_seq_without_pool() {
-        for cfg in
-            [SchedConfig::basic(4, 64), SchedConfig::reexpansion(4, 64), SchedConfig::restart(4, 64, 16)]
-        {
+        for cfg in every_policy() {
             let out = run_policy(&Fib(20), cfg, None);
             assert_eq!(out.reducer, 6765, "{:?}", cfg.policy);
             assert_eq!(out.stats.steals, 0, "sequential runs never steal");
@@ -380,9 +359,7 @@ mod tests {
     #[test]
     fn run_policy_dispatches_parallel_with_pool() {
         let pool = ThreadPool::new(3);
-        for cfg in
-            [SchedConfig::basic(4, 64), SchedConfig::reexpansion(4, 64), SchedConfig::restart(4, 64, 16)]
-        {
+        for cfg in every_policy() {
             let out = run_policy(&Fib(20), cfg, Some(&pool));
             assert_eq!(out.reducer, 6765, "{:?}", cfg.policy);
         }
@@ -391,24 +368,21 @@ mod tests {
     #[test]
     fn every_kind_computes_the_same_reduction() {
         let pool = ThreadPool::new(2);
-        let cfg = SchedConfig::restart(4, 64, 16);
-        for kind in SchedulerKind::ALL {
-            let out = run_scheduler(kind, &Fib(18), cfg, Some(&pool));
-            assert_eq!(out.reducer, 2584, "{kind:?}");
+        for cfg in every_policy() {
+            for kind in SchedulerKind::ALL {
+                let out = run_scheduler(kind, &Fib(18), cfg, Some(&pool));
+                assert_eq!(out.reducer, 2584, "{kind:?} {:?}", cfg.policy);
+            }
         }
     }
 
     #[test]
     fn parallel_kinds_work_without_a_pool() {
-        let cfg = SchedConfig::restart(4, 64, 16);
-        for kind in [
-            SchedulerKind::ReExpansion,
-            SchedulerKind::RestartSimplified,
-            SchedulerKind::RestartIdeal,
-            SchedulerKind::Adaptive,
-        ] {
-            let out = run_scheduler(kind, &Fib(16), cfg, None);
-            assert_eq!(out.reducer, 987, "{kind:?}");
+        for cfg in every_policy() {
+            for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
+                let out = run_scheduler(kind, &Fib(16), cfg, None);
+                assert_eq!(out.reducer, 987, "{kind:?} {:?}", cfg.policy);
+            }
         }
     }
 
@@ -416,14 +390,18 @@ mod tests {
     fn kind_names_and_policy_mapping() {
         assert_eq!(SchedulerKind::Seq.name(), "seq");
         assert!(!SchedulerKind::Seq.is_parallel());
+        assert!(SchedulerKind::Par.is_parallel());
         assert!(SchedulerKind::RestartIdeal.is_parallel());
-        assert_eq!(SchedulerKind::for_policy(PolicyKind::Restart, true), SchedulerKind::RestartSimplified);
-        assert_eq!(SchedulerKind::for_policy(PolicyKind::Basic, true), SchedulerKind::ReExpansion);
-        assert_eq!(SchedulerKind::for_policy(PolicyKind::Restart, false), SchedulerKind::Seq);
-        assert_eq!(SchedulerKind::Adaptive.name(), "par-adaptive");
-        assert!(SchedulerKind::Adaptive.is_parallel());
-        assert_eq!(SchedulerKind::for_policy(PolicyKind::Adaptive, true), SchedulerKind::Adaptive);
-        assert_eq!(SchedulerKind::for_policy(PolicyKind::Adaptive, false), SchedulerKind::Seq);
+        assert_eq!(SchedulerKind::ALL.len(), 3);
+        // The pinned former names are the one pool kind, not new paths.
+        assert_eq!(SchedulerKind::RestartSimplified, SchedulerKind::Par);
+        assert_eq!(SchedulerKind::Adaptive, SchedulerKind::Par);
+        // The pool scheduler's table label follows the policy it runs.
+        let prog = Fib(4);
+        let label = |cfg| Scheduler::<Fib>::name(&ParSplit::new(&prog, cfg));
+        assert_eq!(label(SchedConfig::reexpansion(4, 64)), "par-reexp");
+        assert_eq!(label(SchedConfig::restart(4, 64, 16)), "par-restart");
+        assert_eq!(label(SchedConfig::adaptive(4)), "par-adaptive");
     }
 
     #[test]
@@ -431,11 +409,9 @@ mod tests {
         let prog = Fib(15);
         let cfg = SchedConfig::restart(4, 32, 8);
         let seq = SeqScheduler::new(&prog, cfg);
-        let reexp = ParReExpansion::new(&prog, cfg);
-        let restart = ParRestart::new(&prog, cfg);
+        let split = ParSplit::new(&prog, cfg);
         let ideal = ParRestartIdeal::new(&prog, cfg, 2);
-        let adaptive = ParAdaptive::new(&prog, cfg);
-        let schedulers: [&dyn Scheduler<Fib>; 5] = [&seq, &reexp, &restart, &ideal, &adaptive];
+        let schedulers: [&dyn Scheduler<Fib>; 3] = [&seq, &split, &ideal];
         let pool = ThreadPool::new(2);
         for s in schedulers {
             assert_eq!(s.run_with(Some(&pool)).reducer, 610, "{}", s.name());

@@ -131,9 +131,9 @@ pub struct SeqScheduler<'p, P: BlockProgram> {
     bfe_forced: bool,
     /// Consecutive forced-BFE actions taken in the current burst.
     bfe_burst: usize,
-    /// Adaptive: the live grain. Single-core has no thieves, so the grain
-    /// only ever grows — `Q, 2Q, …` up to the cap — which makes the policy
-    /// fully deterministic (and therefore park/resume-exact).
+    /// Adaptive: the live grain. It only ever grows — `Q, 2Q, …` up to the
+    /// cap — which makes the policy fully deterministic (and therefore
+    /// park/resume-exact).
     ctrl: GrainController,
     /// Remainder of an oversized root block, fed strip by strip.
     root_rest: Option<P::Store>,
@@ -175,10 +175,7 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
     /// observable, which is the superstep-boundary seam of the paper.
     pub fn park(self) -> SeqFrontier<P::Store, P::Reducer> {
         debug_assert!(self.out.is_empty(), "spawn buckets drain every step; park found them non-empty");
-        if self.cfg.trace {
-            tb_obs::record(EventKind::Park, 0, self.deque.task_count() as u64);
-        }
-        SeqFrontier {
+        let frontier = SeqFrontier {
             cfg: self.cfg,
             deque: self.deque,
             current: self.current,
@@ -191,7 +188,11 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
             red: self.red,
             stats: self.stats,
             done: self.done,
+        };
+        if frontier.cfg.trace {
+            tb_obs::record(EventKind::Park, 0, frontier.tasks() as u64);
         }
+        frontier
     }
 
     /// Reconstruct an engine from a parked frontier. `prog` must be the
@@ -202,7 +203,7 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
     /// stopped: same decisions, same reductions, same task counts.
     pub fn resume(prog: &'p P, frontier: SeqFrontier<P::Store, P::Reducer>) -> Self {
         if frontier.cfg.trace {
-            tb_obs::record(EventKind::Resume, 0, frontier.deque.task_count() as u64);
+            tb_obs::record(EventKind::Resume, 0, frontier.tasks() as u64);
         }
         SeqScheduler {
             prog,
@@ -234,32 +235,38 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
     /// What goes is the largest pending work: half of the unstripped root
     /// remainder when there is one (each root task is a whole computation),
     /// otherwise the shallowest half of the deque's levels
-    /// ([`LeveledDeque::split_shallowest_half`]). The current block always
-    /// stays. The split frontier starts with a fresh reducer and zeroed
-    /// statistics and inherits the policy latches, so it continues in the
-    /// regime the run was in (a warmed-up restart engine scans its new
-    /// deque instead of ramping up again). Returns `None` when only the
-    /// current block is left — nothing to split.
+    /// ([`LeveledDeque::split_shallowest_half`]), otherwise — only the
+    /// current block is pending, as during a breadth-first ramp — the back
+    /// half of the current block. A block is a set of independent
+    /// same-level tasks, so either half runs on its own; it is halved only
+    /// while each half still fills two SIMD steps (`2Q` tasks). The split
+    /// frontier starts with a fresh reducer and zeroed statistics and
+    /// inherits the policy latches, so it continues in the regime the run
+    /// was in (a warmed-up restart engine scans its new deque instead of
+    /// ramping up again). Returns `None` when nothing is left to hand over.
     pub fn split_off(&mut self) -> Option<SeqFrontier<P::Store, P::Reducer>> {
         debug_assert!(self.out.is_empty(), "spawn buckets drain every step; split found them non-empty");
-        let (deque, root_rest) = match &mut self.root_rest {
+        let (deque, current, root_rest) = match &mut self.root_rest {
             Some(rest) => {
                 let keep = rest.len() / 2;
                 let theirs = rest.split_off(keep);
                 if keep == 0 {
                     self.root_rest = None;
                 }
-                (LeveledDeque::new(), Some(theirs))
+                (LeveledDeque::new(), None, Some(theirs))
             }
-            None => (self.deque.split_shallowest_half()?, None),
+            None => match self.deque.split_shallowest_half() {
+                Some(deque) => (deque, None, None),
+                None => {
+                    let cur = self.current.as_mut().filter(|b| b.len() >= 4 * self.cfg.q)?;
+                    (LeveledDeque::new(), Some(cur.split_off(cur.len() / 2)), None)
+                }
+            },
         };
-        if self.cfg.trace {
-            tb_obs::record(EventKind::Park, 0, deque.task_count() as u64);
-        }
-        Some(SeqFrontier {
+        let frontier = SeqFrontier {
             cfg: self.cfg,
             deque,
-            current: None,
+            current,
             mode: self.mode,
             warmed: self.warmed,
             bfe_forced: false,
@@ -269,7 +276,11 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
             red: self.prog.make_reducer(),
             stats: ExecStats::new(self.cfg.q),
             done: false,
-        })
+        };
+        if self.cfg.trace {
+            tb_obs::record(EventKind::Park, 0, frontier.tasks() as u64);
+        }
+        Some(frontier)
     }
 
     /// Has [`SeqScheduler::step`] reported `Done`?
@@ -388,15 +399,13 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
                 }
             }
             PolicyKind::Adaptive => {
-                // The single-core embedding of the grain controller: no
-                // steal signal exists, so the grain ratchets up — one
-                // doubling per BFE interval — until blocks reach it and
-                // the engine goes depth-first, mirroring basic's ramp-up
-                // without a hand-set `t_dfe`.
+                // The grain ratchets up — one doubling per BFE step —
+                // until blocks reach it and the engine goes depth-first,
+                // mirroring basic's ramp-up without a hand-set `t_dfe`.
                 if len >= self.ctrl.grain() {
                     Action::Dfe
                 } else {
-                    self.ctrl.grow(0, 1);
+                    self.ctrl.grow();
                     Action::Bfe
                 }
             }

@@ -98,9 +98,10 @@ pub fn chrome_trace_json(tracks: &[Track]) -> String {
         w.meta("thread_name", i as u32 + 1, &t.name);
     }
 
-    // Async park spans are matched by job id across all tracks: a job may
-    // park on one worker and resume on another.
-    let mut open_parks: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
+    // Async park spans are matched by id across all tracks: a job may park
+    // on one worker and resume on another. Engine-level ids are task counts
+    // (split frontiers), so one id can be open several times at once.
+    let mut open_parks: std::collections::HashMap<u64, Vec<u32>> = std::collections::HashMap::new();
     let mut trace_last_ts = 0u64;
 
     for (i, t) in tracks.iter().enumerate() {
@@ -127,11 +128,11 @@ pub fn chrome_trace_json(tracks: &[Track]) -> String {
                 }
                 EventKind::Park => {
                     async_ev(&mut w, tid, 'b', e.ts_ns, e.arg);
-                    open_parks.insert(e.arg, tid);
+                    open_parks.entry(e.arg).or_default().push(tid);
                     instant(&mut w, tid, e);
                 }
                 EventKind::Resume => {
-                    if open_parks.remove(&e.arg).is_some() {
+                    if open_parks.get_mut(&e.arg).and_then(Vec::pop).is_some() {
                         async_ev(&mut w, tid, 'e', e.ts_ns, e.arg);
                     }
                     instant(&mut w, tid, e);
@@ -144,8 +145,10 @@ pub fn chrome_trace_json(tracks: &[Track]) -> String {
             duration(&mut w, tid, 'E', last_ts, "", 0, 0);
         }
     }
-    for (id, tid) in open_parks {
-        async_ev(&mut w, tid, 'e', trace_last_ts, id);
+    for (id, tids) in open_parks {
+        for tid in tids {
+            async_ev(&mut w, tid, 'e', trace_last_ts, id);
+        }
     }
     w.finish()
 }
@@ -187,15 +190,23 @@ mod tests {
 
     #[test]
     fn orphan_end_and_orphan_park_are_repaired() {
-        let tracks = vec![Track {
-            name: "w".into(),
-            // End without begin (begin overwritten), park without resume.
-            events: vec![ev(0, 10, EventKind::TierEnd, 4, 0), ev(1, 20, EventKind::Park, 0, 3)],
-        }];
+        let tracks = vec![
+            Track {
+                name: "w".into(),
+                // End without begin (begin overwritten), park without resume.
+                events: vec![ev(0, 10, EventKind::TierEnd, 4, 0), ev(1, 20, EventKind::Park, 0, 3)],
+            },
+            Track {
+                name: "v".into(),
+                // The same id parked again elsewhere (two split frontiers
+                // of equal size) and resumed once: both spans stay closed.
+                events: vec![ev(0, 30, EventKind::Park, 0, 3), ev(1, 40, EventKind::Resume, 0, 3)],
+            },
+        ];
         let json = chrome_trace_json(&tracks);
         assert_eq!(json.matches("\"ph\":\"B\"").count(), 0);
         assert_eq!(json.matches("\"ph\":\"E\"").count(), 0);
-        assert_eq!(json.matches("\"ph\":\"b\"").count(), 1);
-        assert_eq!(json.matches("\"ph\":\"e\"").count(), 1);
+        assert_eq!(json.matches("\"ph\":\"b\"").count(), 2);
+        assert_eq!(json.matches("\"ph\":\"e\"").count(), 2);
     }
 }

@@ -1,7 +1,7 @@
 //! Fixed-size binary event model shared by every layer.
 
 /// Number of distinct event kinds (array sizing for per-kind counters).
-pub const KIND_COUNT: usize = 18;
+pub const KIND_COUNT: usize = 16;
 
 /// Stored size of one event: seqlock word + ts + meta + arg.
 pub const EVENT_BYTES: usize = 32;
@@ -28,9 +28,10 @@ pub enum EventKind {
     /// The restart policy fired (`find_restart_full` found a full block
     /// below the frontier). `arg0` = level, `arg` = tasks in the block.
     Restart = 6,
-    /// A preemptible job parked at a superstep boundary. `arg` = job id.
+    /// A preemptible job parked at a superstep boundary (`arg` = job id),
+    /// or an engine parked or split off a frontier (`arg` = its tasks).
     Park = 7,
-    /// A parked job resumed. `arg` = job id.
+    /// A parked job or frontier resumed. `arg` as for `Park`.
     Resume = 8,
     /// The admission scheduler requested preemption. `arg` = job id.
     Preempt = 9,
@@ -48,13 +49,6 @@ pub enum EventKind {
     Admit = 14,
     /// An admitted job finished. `arg0` = tenant, `arg` = job id.
     JobDone = 15,
-    /// The adaptive grain controller grew its block budget after a quiet
-    /// interval. `arg0` = worker index, `arg` = the new grain.
-    GrainGrow = 16,
-    /// The adaptive grain controller observed a steal-epoch advance and
-    /// reset its grain to `Q`. `arg0` = worker index (the victim),
-    /// `arg` = the number of epochs consumed since the last check.
-    GrainReset = 17,
 }
 
 impl EventKind {
@@ -75,8 +69,6 @@ impl EventKind {
         EventKind::ChunkSize,
         EventKind::Admit,
         EventKind::JobDone,
-        EventKind::GrainGrow,
-        EventKind::GrainReset,
     ];
 
     pub fn from_u8(v: u8) -> Option<EventKind> {
@@ -102,8 +94,6 @@ impl EventKind {
             EventKind::ChunkSize => "chunk_size",
             EventKind::Admit => "admit",
             EventKind::JobDone => "job_done",
-            EventKind::GrainGrow => "grain_grow",
-            EventKind::GrainReset => "grain_reset",
         }
     }
 }

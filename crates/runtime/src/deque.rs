@@ -43,7 +43,7 @@ use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::ptr;
-use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
@@ -123,13 +123,6 @@ struct Inner<T> {
     buffer: AtomicPtr<Buffer<T>>,
     /// Previous generations, kept alive for racing thieves. Owner-only.
     retired: UnsafeCell<Vec<*mut Buffer<T>>>,
-    /// Bumped once per *successful* steal (after the claiming CAS wins).
-    /// The owner polls it with a Relaxed load and compares against a
-    /// cached snapshot — a "stolen since last check" signal for adaptive
-    /// grain control. On its own cache line so thief bumps never dirty
-    /// the `top`/`bottom` lines the hot push/pop path reads, and the
-    /// owner's poll never contends with the CAS line.
-    steal_epoch: CachePadded<AtomicU64>,
 }
 
 // SAFETY: the protocol below guarantees each element is materialised by
@@ -185,7 +178,6 @@ impl<T: Send> Worker<T> {
             bottom: CachePadded::new(AtomicIsize::new(0)),
             buffer: AtomicPtr::new(Box::into_raw(Buffer::alloc(INITIAL_CAP))),
             retired: UnsafeCell::new(Vec::new()),
-            steal_epoch: CachePadded::new(AtomicU64::new(0)),
         });
         Worker { inner, _not_sync: PhantomData }
     }
@@ -256,16 +248,6 @@ impl<T: Send> Worker<T> {
         // t < b: more than one element remained; no thief can reach `b`.
         // SAFETY: slot `b` is exclusively ours after the reservation.
         Some(unsafe { (*buf).read(b) })
-    }
-
-    /// The current steal epoch: the number of items thieves have ever
-    /// successfully stolen from this deque. Relaxed — the owner only
-    /// compares it against a cached snapshot to learn "was I stolen from
-    /// since I last looked", never to synchronise with the stolen data.
-    /// The owner's own `pop` never advances it, including the last-element
-    /// CAS where the owner races thieves with their own protocol.
-    pub fn steal_epoch(&self) -> u64 {
-        self.inner.steal_epoch.load(Ordering::Relaxed)
     }
 
     /// True when the deque currently holds no items (owner's view).
@@ -354,10 +336,6 @@ impl<T: Send> Stealer<T> {
             std::mem::forget(value);
             return Steal::Retry;
         }
-        // Successful claim: advance the owner's "stolen since last check"
-        // signal. Relaxed RMW on the rare success path only — failed races
-        // and the owner's push/pop never touch this line.
-        inner.steal_epoch.fetch_add(1, Ordering::Relaxed);
         Steal::Success(value)
     }
 
@@ -392,25 +370,6 @@ mod tests {
         assert_eq!(w.pop(), Some(2));
         assert_eq!(w.pop(), None);
         assert_eq!(s.steal(), Steal::Empty);
-    }
-
-    #[test]
-    fn steal_epoch_counts_only_thief_successes() {
-        let w: Worker<u32> = Worker::new();
-        let s = w.stealer();
-        assert_eq!(w.steal_epoch(), 0);
-        w.push(1);
-        w.push(2);
-        assert_eq!(w.pop(), Some(2));
-        assert_eq!(w.steal_epoch(), 0, "owner pops never advance the epoch");
-        assert_eq!(s.steal(), Steal::Success(1));
-        assert_eq!(w.steal_epoch(), 1);
-        assert_eq!(s.steal(), Steal::Empty);
-        assert_eq!(w.steal_epoch(), 1, "empty attempts do not advance it");
-        // The owner winning the last-element CAS race is a pop, not a steal.
-        w.push(7);
-        assert_eq!(w.pop(), Some(7));
-        assert_eq!(w.steal_epoch(), 1);
     }
 
     #[test]

@@ -17,11 +17,9 @@
 //!   fork two closures, run the first inline, expose the second for
 //!   stealing, and steal-while-waiting until both are done.
 //! * [`WorkerCtx::thief_hungry`] — the demand signal for serial-by-default
-//!   work: "some worker is idle and has nothing to take". Schedulers that
-//!   run privately and split only on demand (`tb-core`'s pool restart) poll
-//!   it between supersteps.
-//! * [`PerWorker`] — per-worker mutable slots (reducers, scratch buffets)
-//!   indexed by worker id, merged after the parallel phase.
+//!   work: "some worker is idle and has nothing to take". `tb-core`'s pool
+//!   scheduler runs a sequential engine privately and polls it between
+//!   supersteps, splitting only on demand.
 //!
 //! Differences from MIT Cilk, and why they don't matter here: Cilk steals
 //! *continuations* while this runtime steals *children*. At task-block
@@ -34,12 +32,10 @@ pub mod injector;
 mod job;
 mod latch;
 mod metrics;
-mod per_worker;
 mod pool;
 
 pub use injector::InjectorMetrics;
 pub use metrics::PoolMetrics;
-pub use per_worker::PerWorker;
 pub use pool::{PoolLoad, ThreadPool, WorkerCtx};
 
 #[cfg(test)]

@@ -36,10 +36,10 @@ const SLEEP_RECHECK: Duration = Duration::from_micros(500);
 
 /// Steal counters owned by one worker. Only that worker writes them (plain
 /// load + store, no RMW), so the hot path costs a private-cache-line write;
-/// [`ThreadPool::metrics`] merges the lines at observation points (pool
-/// sync in the schedulers' `drive`). Other threads read them with Relaxed
-/// loads — each counter is monotone, so a sum of stale values is itself a
-/// valid earlier snapshot.
+/// [`ThreadPool::metrics`] merges the lines at observation points (a
+/// scheduler reads the totals before and after each run). Other threads
+/// read them with Relaxed loads — each counter is monotone, so a sum of
+/// stale values is itself a valid earlier snapshot.
 #[derive(Default)]
 struct StealCounters {
     attempts: AtomicU64,
@@ -272,9 +272,7 @@ impl Drop for ThreadPool {
 }
 
 /// A worker's view of the pool, passed to every job. Grants access to the
-/// fork/join primitives and identifies the worker for [`PerWorker`] slots.
-///
-/// [`PerWorker`]: crate::per_worker::PerWorker
+/// fork/join primitives and the demand signal splitting schedulers poll.
 pub struct WorkerCtx<'a> {
     shared: &'a Shared,
     index: usize,
@@ -325,25 +323,6 @@ impl<'a> WorkerCtx<'a> {
         self.shared.idle_workers.load(Ordering::Relaxed) > 0
             && self.shared.injector.is_empty()
             && self.local.is_empty()
-    }
-
-    /// This worker's local-deque steal epoch: how many jobs thieves have
-    /// ever taken *from this worker*. A Relaxed owner-side load; compare
-    /// against a cached snapshot for a cheap "was I stolen from since I
-    /// last looked" signal (the adaptive grain controller's input). The
-    /// worker's own pops never advance it.
-    #[inline]
-    pub fn steal_epoch(&self) -> u64 {
-        self.local.steal_epoch()
-    }
-
-    /// Jobs currently queued in the pool's injector and not yet claimed (a
-    /// snapshot). Deep injector ⇒ plenty of parallelism already published;
-    /// the DCAFE-style signal the adaptive controller blends with the
-    /// steal epoch.
-    #[inline]
-    pub fn injector_depth(&self) -> usize {
-        self.shared.injector.len()
     }
 
     #[inline]

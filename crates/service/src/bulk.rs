@@ -123,13 +123,20 @@ impl<R> BulkHandle<R> {
 /// current injector depth — a backed-up queue gets fewer, larger jobs
 /// instead of being flooded with one task per item. Returns the chunk
 /// length in items (at least 1, at most `items`).
-///
-/// The actual policy lives in [`tb_core::GrainController::chunk_len`] —
-/// the same controller that drives `Policy::Adaptive`'s per-worker grain —
-/// so the service's bulk seam and the scheduler's block seam share one
-/// depth-coarsening rule instead of two hand-tuned copies.
-pub(crate) fn adaptive_chunk_len(items: usize, workers: usize, queue_depth: usize) -> usize {
-    tb_core::GrainController::chunk_len(items, workers, queue_depth)
+pub(crate) fn chunk_len(items: usize, workers: usize, queue_depth: usize) -> usize {
+    /// Idle-queue target: enough chunks per worker to balance, few enough
+    /// to keep per-chunk overhead negligible.
+    const CHUNKS_PER_WORKER: usize = 4;
+    if items == 0 {
+        return 1;
+    }
+    let workers = workers.max(1);
+    let base = items.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
+    // Each `workers` jobs already queued double the chunk: depth 0 → ×1,
+    // depth = workers → ×2, etc., capped so a chunk is never larger than
+    // the whole bulk.
+    let factor = (queue_depth / workers).saturating_add(1);
+    base.saturating_mul(factor).min(items)
 }
 
 #[cfg(test)]
@@ -138,7 +145,7 @@ mod tests {
 
     #[test]
     fn idle_queue_yields_a_few_chunks_per_worker() {
-        let len = adaptive_chunk_len(1024, 4, 0);
+        let len = chunk_len(1024, 4, 0);
         assert_eq!(len, 64, "1024 items / (4 workers * 4 chunks)");
         let chunks = 1024usize.div_ceil(len);
         assert_eq!(chunks, 16);
@@ -146,19 +153,21 @@ mod tests {
 
     #[test]
     fn deep_queue_coarsens_chunks() {
-        let idle = adaptive_chunk_len(1024, 4, 0);
-        let busy = adaptive_chunk_len(1024, 4, 32);
+        let idle = chunk_len(1024, 4, 0);
+        let busy = chunk_len(1024, 4, 32);
         assert!(busy > idle, "backlog must coarsen: {idle} -> {busy}");
         assert!(busy <= 1024);
+        // Depth = 2 × workers → ×3.
+        assert_eq!(chunk_len(1024, 4, 8), 192);
     }
 
     #[test]
     fn degenerate_inputs_stay_sane() {
-        assert_eq!(adaptive_chunk_len(0, 4, 0), 1);
-        assert_eq!(adaptive_chunk_len(1, 4, 100), 1);
-        assert_eq!(adaptive_chunk_len(3, 128, 0), 1);
+        assert_eq!(chunk_len(0, 4, 0), 1);
+        assert_eq!(chunk_len(1, 4, 100), 1);
+        assert_eq!(chunk_len(3, 128, 0), 1);
         // Chunk never exceeds the input length.
-        assert_eq!(adaptive_chunk_len(10, 1, 1_000_000), 10);
+        assert_eq!(chunk_len(10, 1, 1_000_000), 10);
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //!     "spec fib(n) { base (n < 2) { reduce n; } else { spawn fib(n - 1); spawn fib(n - 2); } }",
 //!     vec![vec![20]], // one root call; several would be a data-parallel foreach
 //!     SchedConfig::restart(8, 1 << 10, 64),
-//!     SchedulerKind::RestartSimplified,
+//!     SchedulerKind::Par,
 //!     SpecTier::Auto,
 //! );
 //! assert_eq!(h.wait(), Ok(6765));
@@ -92,12 +92,12 @@
 //! let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 16, ..RuntimeConfig::default() });
 //!
 //! // Mixed jobs in flight concurrently, each with its own scheduler.
-//! let a = rt.submit_as(DEFAULT_TENANT, Tree(10), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+//! let a = rt.submit_as(DEFAULT_TENANT, Tree(10), SchedConfig::basic(4, 64), SchedulerKind::Par);
 //! let b = rt.submit_as(
 //!     DEFAULT_TENANT,
 //!     Tree(12),
 //!     SchedConfig::restart(4, 64, 16),
-//!     SchedulerKind::RestartSimplified,
+//!     SchedulerKind::Par,
 //! );
 //! assert_eq!(a.wait(), Ok(1 << 10));
 //! assert_eq!(b.wait(), Ok(1 << 12));
@@ -107,14 +107,14 @@
 //! let bulk = rt.submit_bulk(
 //!     (0..64u32).map(|_| 4u32).collect::<Vec<_>>(),
 //!     SchedConfig::basic(4, 64),
-//!     SchedulerKind::ReExpansion,
+//!     SchedulerKind::Par,
 //!     |chunk: Vec<u32>| Tree(chunk.len() as u32 + 3), // one program per chunk
 //! );
 //! let total: u64 = bulk.wait().into_iter().map(|r| r.unwrap()).sum();
 //! assert!(total > 0);
 //!
 //! // Cancellation is cooperative and drop is detach, not cancel.
-//! let big = rt.submit_as(DEFAULT_TENANT, Tree(28), SchedConfig::basic(4, 1024), SchedulerKind::ReExpansion);
+//! let big = rt.submit_as(DEFAULT_TENANT, Tree(28), SchedConfig::basic(4, 1024), SchedulerKind::Par);
 //! big.cancel();
 //! let _ = big.wait(); // Err(Cancelled), or Ok(_) if it finished first — never a hang
 //!

@@ -12,7 +12,7 @@ use tb_obs::EventKind;
 use tb_runtime::{InjectorMetrics, ThreadPool, WorkerCtx};
 use tb_spec::{compile, parse_spec, CompiledSpec, SpecCode, SpecTier, VectorSpec};
 
-use crate::bulk::{adaptive_chunk_len, BulkCore, BulkHandle};
+use crate::bulk::{chunk_len, BulkCore, BulkHandle};
 use crate::handle::{JobCore, JobError, JobHandle};
 use crate::sched::{
     Admission, FinishObserver, JobId, Mode, PreemptFlag, ReadyJob, TenantId, TenantSnapshot, TenantSpec,
@@ -351,9 +351,9 @@ impl Runtime {
     /// run happens on the pool, admitted in the tenant's weight order
     /// within its priority class and strict priority order across classes.
     ///
-    /// Scheduler choice per job: [`SchedulerKind::Seq`],
-    /// [`SchedulerKind::ReExpansion`] and [`SchedulerKind::RestartSimplified`]
-    /// are pool-resident and compose freely;
+    /// Scheduler choice per job: [`SchedulerKind::Seq`] and
+    /// [`SchedulerKind::Par`] (under any policy) are pool-resident and
+    /// compose freely;
     /// [`SchedulerKind::RestartIdeal`] spawns its own dedicated threads per
     /// job (see `run_scheduler_on_ctx`) and is meant for measurement, not
     /// service traffic.
@@ -593,7 +593,7 @@ impl Runtime {
         F: Fn(Vec<I>) -> P + Send + Sync + 'static,
     {
         let total = items.len();
-        let chunk_len = adaptive_chunk_len(total, self.threads(), self.pending_jobs());
+        let chunk_len = chunk_len(total, self.threads(), self.pending_jobs());
         // arg0 = adaptive chunk length chosen, arg = items being cut.
         tb_obs::record(EventKind::ChunkSize, chunk_len as u32, total as u64);
         let chunks = total.div_ceil(chunk_len.max(1));

@@ -265,7 +265,7 @@ impl ServerInner {
                     &source,
                     args,
                     cfg,
-                    SchedulerKind::RestartSimplified,
+                    SchedulerKind::Par,
                     tier,
                 ) {
                     Ok(h) => h,

@@ -269,7 +269,7 @@ fn bulk_wait_merged_folds_chunk_results_across_threads() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, max_parked: 0 });
     let n = 10_000u64;
     let items: Vec<u64> = (0..n).collect();
-    let bulk = rt.submit_bulk(items, cfg(), SchedulerKind::ReExpansion, SumChunk);
+    let bulk = rt.submit_bulk(items, cfg(), SchedulerKind::Par, SumChunk);
     assert!(bulk.chunks() >= 1);
     let total = bulk.wait_merged(0u64, |acc, chunk_sum| acc + chunk_sum).expect("no chunk fails");
     assert_eq!(total, n * (n - 1) / 2);
@@ -306,7 +306,7 @@ fn bulk_wait_merged_short_circuits_on_a_cancelled_chunk() {
         SchedulerKind::Seq,
     );
     await_flag(&started); // the only worker is occupied: bulk chunks can only queue
-    let bulk = rt.submit_bulk((0..64u64).collect(), cfg(), SchedulerKind::ReExpansion, SumChunk);
+    let bulk = rt.submit_bulk((0..64u64).collect(), cfg(), SchedulerKind::Par, SumChunk);
     bulk.cancel();
     release.store(true, Ordering::Release);
     assert_eq!(plug.wait(), Ok(1));

@@ -95,16 +95,11 @@ fn mixed_schedulers_coexist_on_one_pool() {
         let depth = 8 + round;
         handles.push((
             depth,
-            rt.submit_as(DEFAULT_TENANT, Tree(depth), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion),
+            rt.submit_as(DEFAULT_TENANT, Tree(depth), SchedConfig::basic(4, 64), SchedulerKind::Par),
         ));
         handles.push((
             depth,
-            rt.submit_as(
-                DEFAULT_TENANT,
-                Tree(depth),
-                SchedConfig::restart(4, 64, 16),
-                SchedulerKind::RestartSimplified,
-            ),
+            rt.submit_as(DEFAULT_TENANT, Tree(depth), SchedConfig::restart(4, 64, 16), SchedulerKind::Par),
         ));
         handles.push((
             depth,
@@ -130,12 +125,12 @@ fn concurrent_clients_hammer_one_runtime() {
             s.spawn(move || {
                 for i in 0..10u32 {
                     let depth = 6 + (client + i) % 5;
-                    let kind = if i % 2 == 0 {
-                        SchedulerKind::ReExpansion
+                    let cfg = if i % 2 == 0 {
+                        SchedConfig::reexpansion(4, 32)
                     } else {
-                        SchedulerKind::RestartSimplified
+                        SchedConfig::restart(4, 32, 8)
                     };
-                    let h = rt.submit_as(DEFAULT_TENANT, Tree(depth), SchedConfig::restart(4, 32, 8), kind);
+                    let h = rt.submit_as(DEFAULT_TENANT, Tree(depth), cfg, SchedulerKind::Par);
                     assert_eq!(h.wait(), Ok(1u64 << depth));
                 }
             });
@@ -156,7 +151,7 @@ fn cancellation_stops_expansion_promptly() {
         DEFAULT_TENANT,
         CountingTree { depth: 40, ticks: Arc::clone(&ticks) },
         SchedConfig::basic(4, 256),
-        SchedulerKind::ReExpansion,
+        SchedulerKind::Par,
     );
     // Let it get going, then cancel.
     while ticks.load(Ordering::Relaxed) < 1000 {
@@ -181,7 +176,7 @@ fn dropping_a_handle_mid_run_detaches_without_wedging() {
         DEFAULT_TENANT,
         CountingTree { depth: 18, ticks: Arc::clone(&ticks) },
         SchedConfig::basic(4, 64),
-        SchedulerKind::ReExpansion,
+        SchedulerKind::Par,
     );
     drop(h); // detach: the run continues and must release its gate slot
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -192,7 +187,7 @@ fn dropping_a_handle_mid_run_detaches_without_wedging() {
     assert_eq!(ticks.load(Ordering::Relaxed), (1u64 << 19) - 1, "detached job ran to completion");
     assert_eq!(rt.stats().inflight, 0, "gate slot leaked by dropped handle");
     // The runtime is still fully usable afterwards.
-    let h = rt.submit_as(DEFAULT_TENANT, Tree(10), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+    let h = rt.submit_as(DEFAULT_TENANT, Tree(10), SchedConfig::basic(4, 64), SchedulerKind::Par);
     assert_eq!(h.wait(), Ok(1 << 10));
 }
 
@@ -204,7 +199,7 @@ fn dropping_a_cancelled_handle_is_also_clean() {
         DEFAULT_TENANT,
         CountingTree { depth: 40, ticks: Arc::clone(&ticks) },
         SchedConfig::basic(4, 256),
-        SchedulerKind::ReExpansion,
+        SchedulerKind::Par,
     );
     while ticks.load(Ordering::Relaxed) < 100 {
         std::hint::spin_loop();
@@ -224,8 +219,8 @@ fn backpressure_blocks_then_releases() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 1, ..RuntimeConfig::default() });
     // Fill the single slot with a slow job, then submit another: the
     // second submit must block until the first completes.
-    let slow = rt.submit_as(DEFAULT_TENANT, Tree(18), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
-    let fast = rt.submit_as(DEFAULT_TENANT, Tree(4), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+    let slow = rt.submit_as(DEFAULT_TENANT, Tree(18), SchedConfig::basic(4, 64), SchedulerKind::Par);
+    let fast = rt.submit_as(DEFAULT_TENANT, Tree(4), SchedConfig::basic(4, 64), SchedulerKind::Par);
     assert_eq!(fast.wait(), Ok(16));
     assert_eq!(slow.wait(), Ok(1 << 18));
     assert!(rt.stats().backpressure_waits >= 1, "the second submit should have hit the gate");
@@ -234,17 +229,17 @@ fn backpressure_blocks_then_releases() {
 #[test]
 fn try_submit_sheds_load_when_saturated() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 1, ..RuntimeConfig::default() });
-    let slow = rt.submit_as(DEFAULT_TENANT, Tree(20), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+    let slow = rt.submit_as(DEFAULT_TENANT, Tree(20), SchedConfig::basic(4, 64), SchedulerKind::Par);
     // The slot is taken (the job may already be running, but it has not
     // completed): try_submit must bounce and return the program.
-    match rt.try_submit_as(DEFAULT_TENANT, Tree(5), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion) {
+    match rt.try_submit_as(DEFAULT_TENANT, Tree(5), SchedConfig::basic(4, 64), SchedulerKind::Par) {
         Err(prog) => assert_eq!(prog.0, 5, "program handed back intact"),
         Ok(_) => panic!("try_submit admitted past a full gate"),
     }
     assert_eq!(slow.wait(), Ok(1 << 20));
     // Slot free again: admission works.
     let h = rt
-        .try_submit_as(DEFAULT_TENANT, Tree(5), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion)
+        .try_submit_as(DEFAULT_TENANT, Tree(5), SchedConfig::basic(4, 64), SchedulerKind::Par)
         .unwrap_or_else(|_| panic!("gate should be free"));
     assert_eq!(h.wait(), Ok(32));
 }
@@ -254,10 +249,9 @@ fn bulk_results_arrive_in_input_order() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, ..RuntimeConfig::default() });
     // 100 items, each chunk's program counts leaves of depth = chunk len.
     let items: Vec<u32> = (0..100).collect();
-    let bulk =
-        rt.submit_bulk(items, SchedConfig::basic(4, 64), SchedulerKind::ReExpansion, |chunk: Vec<u32>| {
-            Tree(chunk.len() as u32)
-        });
+    let bulk = rt.submit_bulk(items, SchedConfig::basic(4, 64), SchedulerKind::Par, |chunk: Vec<u32>| {
+        Tree(chunk.len() as u32)
+    });
     let chunks = bulk.chunks();
     assert!(chunks >= 2, "100 items on 2 workers must split");
     let results = bulk.wait();
@@ -279,7 +273,7 @@ fn bulk_cancel_reaches_queued_chunks() {
     let bulk = rt.submit_bulk(
         (0..64u32).collect::<Vec<_>>(),
         SchedConfig::basic(4, 64),
-        SchedulerKind::ReExpansion,
+        SchedulerKind::Par,
         move |chunk: Vec<u32>| CountingTree { depth: 24 + chunk.len() as u32, ticks: Arc::clone(&t2) },
     );
     while ticks.load(Ordering::Relaxed) < 100 {
@@ -316,7 +310,7 @@ fn panicking_program_is_contained() {
     assert_eq!(rt.stats().panicked, 1);
     assert_eq!(rt.stats().inflight, 0, "panicked job released its slot");
     // Pool workers survived; the runtime still serves.
-    let h = rt.submit_as(DEFAULT_TENANT, Tree(8), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+    let h = rt.submit_as(DEFAULT_TENANT, Tree(8), SchedConfig::basic(4, 64), SchedulerKind::Par);
     assert_eq!(h.wait(), Ok(256));
 }
 
@@ -329,7 +323,7 @@ fn panicking_bulk_chunk_builder_is_contained() {
     let bulk = rt.submit_bulk(
         (0..32u32).collect::<Vec<_>>(),
         SchedConfig::basic(4, 64),
-        SchedulerKind::ReExpansion,
+        SchedulerKind::Par,
         |_chunk: Vec<u32>| -> Tree { panic!("builder bomb") },
     );
     let results = bulk.wait(); // must complete, not hang
@@ -339,7 +333,7 @@ fn panicking_bulk_chunk_builder_is_contained() {
     assert_eq!(stats.inflight, 0, "panicked chunks must release their gate slots");
     assert_eq!(stats.panicked as usize, results.len());
     // Runtime still serves.
-    let h = rt.submit_as(DEFAULT_TENANT, Tree(8), SchedConfig::basic(4, 64), SchedulerKind::ReExpansion);
+    let h = rt.submit_as(DEFAULT_TENANT, Tree(8), SchedConfig::basic(4, 64), SchedulerKind::Par);
     assert_eq!(h.wait(), Ok(256));
 }
 
@@ -355,20 +349,28 @@ const FIB_SRC: &str = "spec fib(n) {
 #[test]
 fn spec_source_jobs_run_under_every_kind() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, ..RuntimeConfig::default() });
-    for kind in SchedulerKind::ALL {
-        let h = rt.submit_spec_foreach_tier_as(
-            DEFAULT_TENANT,
-            FIB_SRC,
-            vec![vec![18]],
-            SchedConfig::restart(4, 64, 16),
-            kind,
-            SpecTier::Auto,
-        );
-        assert_eq!(h.wait(), Ok(2584), "{kind:?}");
+    let configs = [
+        SchedConfig::basic(4, 64),
+        SchedConfig::reexpansion(4, 64),
+        SchedConfig::restart(4, 64, 16),
+        SchedConfig::adaptive(4),
+    ];
+    for cfg in configs {
+        for kind in SchedulerKind::ALL {
+            let h = rt.submit_spec_foreach_tier_as(
+                DEFAULT_TENANT,
+                FIB_SRC,
+                vec![vec![18]],
+                cfg,
+                kind,
+                SpecTier::Auto,
+            );
+            assert_eq!(h.wait(), Ok(2584), "{kind:?} {:?}", cfg.policy);
+        }
     }
     let stats = rt.stats();
     assert_eq!(stats.spec_compiles, 1, "compiled once");
-    assert_eq!(stats.spec_cache_hits, 4, "four resubmissions hit the cache");
+    assert_eq!(stats.spec_cache_hits, 11, "every resubmission hit the cache");
     assert_eq!(stats.rejected, 0);
 }
 
@@ -382,7 +384,7 @@ fn spec_foreach_submission_strip_mines_many_roots() {
         FIB_SRC,
         calls,
         SchedConfig::basic(8, 32),
-        SchedulerKind::ReExpansion,
+        SchedulerKind::Par,
         SpecTier::Auto,
     );
     assert_eq!(h.wait(), Ok(88 * 20));
@@ -396,7 +398,7 @@ fn malformed_spec_source_is_rejected_not_panicked() {
         "spec f(n) { base (n < 2) { reduce n; } else { spawn g(n - 1); } }",
         vec![vec![5]],
         SchedConfig::basic(4, 64),
-        SchedulerKind::ReExpansion,
+        SchedulerKind::Par,
         SpecTier::Auto,
     );
     assert!(h.is_finished(), "rejection completes the handle immediately");

@@ -193,7 +193,7 @@ fn execution_tiers_agree_and_share_the_cache() {
             HOT_SRC,
             vec![vec![17]],
             cfg,
-            SchedulerKind::ReExpansion,
+            SchedulerKind::Par,
             tier,
         );
         results.push(h.wait().unwrap_or_else(|e| panic!("{tier:?}: {e:?}")));
@@ -212,7 +212,7 @@ fn execution_tiers_agree_and_share_the_cache() {
             HOT_SRC,
             calls.clone(),
             cfg,
-            SchedulerKind::ReExpansion,
+            SchedulerKind::Par,
             tier,
         );
         assert_eq!(h.wait(), Ok(want), "{tier:?}");

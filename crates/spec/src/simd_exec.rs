@@ -551,9 +551,17 @@ mod tests {
         let want = interpret(&spec, &[16, 6]);
         let prog = VectorSpec::new(&spec, vec![16, 6]).unwrap();
         let pool = tb_runtime::ThreadPool::new(3);
-        for kind in SchedulerKind::ALL {
-            let out = run_scheduler(kind, &prog, SchedConfig::restart(8, 64, 16), Some(&pool));
-            assert_eq!(out.reducer, want, "{kind:?}");
+        let configs = [
+            SchedConfig::basic(8, 64),
+            SchedConfig::reexpansion(8, 64),
+            SchedConfig::restart(8, 64, 16),
+            SchedConfig::adaptive(8),
+        ];
+        for cfg in configs {
+            for kind in SchedulerKind::ALL {
+                let out = run_scheduler(kind, &prog, cfg, Some(&pool));
+                assert_eq!(out.reducer, want, "{kind:?} {:?}", cfg.policy);
+            }
         }
     }
 }

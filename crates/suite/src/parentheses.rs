@@ -261,7 +261,7 @@ mod tests {
         for tier in [Tier::Block, Tier::Soa, Tier::Simd] {
             let cfg = SchedConfig::restart(Q, 128, 32);
             assert_eq!(b.blocked_seq(cfg, tier).outcome, want, "{tier:?}");
-            assert_eq!(b.blocked_par(&pool, cfg, SchedulerKind::ReExpansion, tier).outcome, want);
+            assert_eq!(b.blocked_par(&pool, cfg, SchedulerKind::Par, tier).outcome, want);
         }
     }
 

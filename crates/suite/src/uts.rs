@@ -205,9 +205,7 @@ mod tests {
         assert_eq!(u.cilk(&pool).outcome, want);
         for cfg in [SchedConfig::reexpansion(Q, 128), SchedConfig::restart(Q, 128, 16)] {
             assert_eq!(u.blocked_seq(cfg, Tier::Block).outcome, want);
-            for kind in
-                [SchedulerKind::ReExpansion, SchedulerKind::RestartSimplified, SchedulerKind::RestartIdeal]
-            {
+            for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
                 assert_eq!(u.blocked_par(&pool, cfg, kind, Tier::Block).outcome, want, "{kind:?}");
             }
         }

@@ -41,8 +41,7 @@ fn main() {
     );
 
     let (block, rb) = (1 << 9, 256);
-    let reexp =
-        bh.blocked_par(&pool, SchedConfig::reexpansion(4, block), SchedulerKind::ReExpansion, Tier::Simd);
+    let reexp = bh.blocked_par(&pool, SchedConfig::reexpansion(4, block), SchedulerKind::Par, Tier::Simd);
     println!(
         "reexp+SIMD ({workers}w):  |F|sum = {}   util = {:.1}%   {:?}",
         reexp.outcome.display(),
@@ -50,12 +49,7 @@ fn main() {
         reexp.stats.wall
     );
 
-    let restart = bh.blocked_par(
-        &pool,
-        SchedConfig::restart(4, block, rb),
-        SchedulerKind::RestartSimplified,
-        Tier::Simd,
-    );
+    let restart = bh.blocked_par(&pool, SchedConfig::restart(4, block, rb), SchedulerKind::Par, Tier::Simd);
     println!(
         "restart+SIMD ({workers}w): |F|sum = {}   util = {:.1}%   restarts = {}   {:?}",
         restart.outcome.display(),

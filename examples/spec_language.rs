@@ -67,7 +67,7 @@ fn main() {
         source,
         vec![vec![0, 0]],
         SchedConfig::restart(16, 1 << 10, 128),
-        SchedulerKind::RestartSimplified,
+        SchedulerKind::Par,
         SpecTier::Auto,
     );
     println!("\ntb-service submit_spec_foreach_tier_as -> {:?}", h.wait());

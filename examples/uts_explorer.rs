@@ -29,12 +29,8 @@ fn main() {
     let pool = ThreadPool::new(workers);
     println!("{:<30} {:>10} {:>10} {:>9} {:>8}", "scheduler", "wall", "util%", "restarts", "steals");
     for (name, kind, cfg) in [
-        ("par re-expansion", SchedulerKind::ReExpansion, SchedConfig::reexpansion(4, 1 << 11)),
-        (
-            "par restart (split on demand)",
-            SchedulerKind::RestartSimplified,
-            SchedConfig::restart(4, 1 << 11, 1 << 8),
-        ),
+        ("par re-expansion", SchedulerKind::Par, SchedConfig::reexpansion(4, 1 << 11)),
+        ("par restart (split on demand)", SchedulerKind::Par, SchedConfig::restart(4, 1 << 11, 1 << 8)),
         ("par restart (ideal)", SchedulerKind::RestartIdeal, SchedConfig::restart(4, 1 << 11, 1 << 8)),
     ] {
         let out = u.blocked_par(&pool, cfg, kind, Tier::Block);

@@ -10,11 +10,10 @@
 //! This facade re-exports the workspace crates:
 //!
 //! * [`core`] (`tb-core`) — task blocks, the BFE/DFE/Restart scheduling
-//!   framework, sequential and work-stealing schedulers, machine-model
-//!   statistics;
+//!   framework, the sequential engine and the pool scheduler that splits
+//!   it on demand, machine-model statistics;
 //! * [`runtime`] (`tb-runtime`) — the Cilk-style child-stealing runtime
-//!   (`join`, the hungry-thief signal, per-worker state, the segmented
-//!   unbounded injector);
+//!   (`join`, the hungry-thief signal, the segmented unbounded injector);
 //! * [`service`] (`tb-service`) — the persistent multi-tenant front-end:
 //!   one shared pool, job handles, bulk submission, per-tenant admission
 //!   and backpressure (every submission names its tenant; the prelude
@@ -58,8 +57,8 @@
 //! let out = run_policy(&Fib, cfg, None);
 //! assert_eq!(out.reducer, 75_025);
 //!
-//! // All cores: the same entry point with a work-stealing pool picks the
-//! // policy's multicore scheduler (simplified restart here).
+//! // All cores: the same entry point with a work-stealing pool runs the
+//! // same restart engine, split across workers whenever one is hungry.
 //! let pool = ThreadPool::new(4);
 //! let par = run_policy(&Fib, cfg, Some(&pool));
 //! assert_eq!(par.reducer, 75_025);
@@ -80,7 +79,7 @@ pub use tb_suite as suite;
 /// One-stop imports for building and scheduling blocked programs.
 pub mod prelude {
     pub use tb_core::prelude::*;
-    pub use tb_runtime::{PerWorker, ThreadPool, WorkerCtx};
+    pub use tb_runtime::{ThreadPool, WorkerCtx};
     pub use tb_service::{JobHandle, Runtime, RuntimeConfig, DEFAULT_TENANT};
     pub use tb_simd::{compact_append, default_q, detected_q, Lanes, Mask};
 }

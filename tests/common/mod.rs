@@ -2,7 +2,8 @@
 //! programs, used by the differential suite (`spec_differential.rs`), the
 //! preemption round-trip suite (`preempt_equiv.rs`) and the split suite
 //! (`restart_split.rs`) — plus the [`KeepThievesHungry`] plug the split
-//! tests wrap programs in.
+//! tests wrap programs in, and [`every_policy`], the config row those
+//! suites iterate.
 //!
 //! Termination of generated specs is by construction: parameter 0 is
 //! *fuel* — every spawn passes `p0 - d` with `d >= 1` as argument 0, and
@@ -20,8 +21,20 @@ use std::time::Duration;
 // `tb_core` / `tb_spec` (not `taskblocks::*`) so this module also compiles
 // when included from `crates/service/tests/*` via `#[path]` — tb-service
 // depends on both but not on the root crate.
-use tb_core::{BlockProgram, BucketSet};
+use tb_core::{BlockProgram, BucketSet, SchedConfig};
 use tb_spec::{Expr, RecursiveSpec, Stmt};
+
+/// One config per policy family at the given thresholds: basic and
+/// re-expansion at `t_dfe`, restart at `t_dfe`/`t_restart`, and adaptive,
+/// which takes only `q`.
+pub fn every_policy(q: usize, t_dfe: usize, t_restart: usize) -> [SchedConfig; 4] {
+    [
+        SchedConfig::basic(q, t_dfe),
+        SchedConfig::reexpansion(q, t_dfe),
+        SchedConfig::restart(q, t_dfe, t_restart),
+        SchedConfig::adaptive(q),
+    ]
+}
 
 /// A splitmix64 stream: all structural choices derive from one drawn seed,
 /// so failing cases reproduce from the printed seed alone.

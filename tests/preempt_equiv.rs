@@ -8,7 +8,8 @@
 //! same supersteps) — across both execution tiers (scalar
 //! `CompiledSpec`, masked-lane `VectorSpec`), every boundary-producing
 //! scheduler config (basic BFE/DFE, re-expansion, restart parking with
-//! strip mining), and against all four scheduler implementations.
+//! strip mining), and against every policy under all three scheduler
+//! implementations.
 //!
 //! This is the safety case for `Runtime::submit_preemptible`: the service
 //! may interrupt a batch job at an arbitrary boundary chosen by admission
@@ -17,7 +18,7 @@
 
 mod common;
 
-use common::{gen_spec, G};
+use common::{every_policy, gen_spec, G};
 use proptest::prelude::*;
 use taskblocks::prelude::*;
 use taskblocks::spec::{CompiledSpec, VectorSpec};
@@ -83,15 +84,19 @@ proptest! {
         let (parked_simd, _) = run_with_parks(&simd, cfg, park_seed);
         prop_assert_eq!(parked_simd.reducer, straight.reducer, "vector tier reduction");
 
-        // And the parked run agrees with all four scheduler
-        // implementations (1 and 3 workers), so a job that parks under the
-        // service matches what any non-preemptible submission computes.
+        // And the parked run agrees with every policy under all three
+        // scheduler implementations (1 and 3 workers), so a job that parks
+        // under the service matches what any non-preemptible submission
+        // computes.
+        let one = ThreadPool::new(1);
         let pool = ThreadPool::new(3);
-        for kind in SchedulerKind::ALL {
-            prop_assert_eq!(run_scheduler(kind, &compiled, cfg, None).reducer,
-                parked.reducer, "parked seq vs {:?} (1 worker)", kind);
-            prop_assert_eq!(run_scheduler(kind, &compiled, cfg, Some(&pool)).reducer,
-                parked.reducer, "parked seq vs {:?} (3 workers)", kind);
+        for other in every_policy(4, 16, 8) {
+            for kind in SchedulerKind::ALL {
+                prop_assert_eq!(run_scheduler(kind, &compiled, other, Some(&one)).reducer,
+                    parked.reducer, "parked seq vs {:?}/{:?} (1 worker)", kind, other.policy);
+                prop_assert_eq!(run_scheduler(kind, &compiled, other, Some(&pool)).reducer,
+                    parked.reducer, "parked seq vs {:?}/{:?} (3 workers)", kind, other.policy);
+            }
         }
     }
 

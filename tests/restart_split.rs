@@ -1,10 +1,10 @@
-//! Restart on the pool is the sequential restart engine plus on-demand
+//! Every policy on the pool is the sequential engine plus on-demand
 //! frontier splitting (`SeqScheduler::split_off`). Three properties keep
-//! that honest:
+//! that honest, under basic, re-expansion, restart and adaptive alike:
 //!
 //! * **No thief, no difference.** On a one-worker pool nobody is ever
-//!   hungry, so `SchedulerKind::RestartSimplified` must take exactly the
-//!   steps of `run_policy(.., None)` — same supersteps, same tasks.
+//!   hungry, so `SchedulerKind::Par` must take exactly the steps of
+//!   `run_policy(.., None)` — same supersteps, same tasks.
 //! * **A split is invisible in the result.** Splitting at any superstep
 //!   boundary conserves the frontier's tasks, and the two engines'
 //!   reducers merge to what the uninterrupted run computes.
@@ -13,7 +13,7 @@
 
 mod common;
 
-use common::{gen_spec, KeepThievesHungry, G};
+use common::{every_policy, gen_spec, KeepThievesHungry, G};
 use proptest::prelude::*;
 use taskblocks::prelude::*;
 use taskblocks::spec::{examples, CompiledSpec, VectorSpec};
@@ -25,36 +25,40 @@ fn one_worker_pool_takes_the_sequential_engines_steps() {
     where
         P::Reducer: PartialEq + std::fmt::Debug,
     {
+        let what = format!("{what} under {:?}", cfg.policy);
         let seq = run_policy(prog, cfg, None);
-        let par = run_scheduler(SchedulerKind::RestartSimplified, prog, cfg, Some(pool));
+        let par = run_scheduler(SchedulerKind::Par, prog, cfg, Some(pool));
         assert_eq!(par.reducer, seq.reducer, "{what}: reduction");
         assert_eq!(par.stats.tasks_executed, seq.stats.tasks_executed, "{what}: tasks executed");
         assert_eq!(par.stats.supersteps, seq.stats.supersteps, "{what}: supersteps");
     }
 
     let pool = ThreadPool::new(1);
-    let cfg = SchedConfig::restart(8, 1 << 10, 64);
     let specs = [
         ("fib(21)", examples::fib_spec(), vec![21]),
         ("binomial(16,7)", examples::binomial_spec(), vec![16, 7]),
         ("paren(8)", examples::parentheses_spec(8), vec![0, 0]),
         ("treesum(9)", examples::treesum_spec(3), vec![9, 0]),
     ];
-    for (name, spec, root) in specs {
-        let scalar = CompiledSpec::new(&spec, root.clone()).unwrap();
-        same_steps(&format!("spec {name} scalar"), &scalar, cfg, &pool);
-        let vector = VectorSpec::new(&spec, root).unwrap();
-        same_steps(&format!("spec {name} vector"), &vector, cfg, &pool);
+    for cfg in every_policy(8, 1 << 10, 64) {
+        for (name, spec, root) in &specs {
+            let scalar = CompiledSpec::new(spec, root.clone()).unwrap();
+            same_steps(&format!("spec {name} scalar"), &scalar, cfg, &pool);
+            let vector = VectorSpec::new(spec, root.clone()).unwrap();
+            same_steps(&format!("spec {name} vector"), &vector, cfg, &pool);
+        }
     }
 
     for name in ["fib", "nqueens", "uts"] {
         let b = benchmark_by_name(name, Scale::Tiny).expect("known benchmark");
-        let cfg = SchedConfig::restart(b.q(), 64, 16);
-        let seq = b.blocked_seq(cfg, Tier::Block);
-        let par = b.blocked_par(&pool, cfg, SchedulerKind::RestartSimplified, Tier::Block);
-        assert_eq!(par.outcome, seq.outcome, "native {name}: outcome");
-        assert_eq!(par.stats.tasks_executed, seq.stats.tasks_executed, "native {name}: tasks executed");
-        assert_eq!(par.stats.supersteps, seq.stats.supersteps, "native {name}: supersteps");
+        for cfg in every_policy(b.q(), 64, 16) {
+            let what = format!("native {name} under {:?}", cfg.policy);
+            let seq = b.blocked_seq(cfg, Tier::Block);
+            let par = b.blocked_par(&pool, cfg, SchedulerKind::Par, Tier::Block);
+            assert_eq!(par.outcome, seq.outcome, "{what}: outcome");
+            assert_eq!(par.stats.tasks_executed, seq.stats.tasks_executed, "{what}: tasks executed");
+            assert_eq!(par.stats.supersteps, seq.stats.supersteps, "{what}: supersteps");
+        }
     }
 }
 
@@ -107,31 +111,33 @@ proptest! {
 
     /// Splitting at every superstep boundary, and at a random subset of
     /// them with the split halves splitting again, never changes what a
-    /// random spec program computes or how many tasks it executes.
+    /// random spec program computes or how many tasks it executes — under
+    /// any policy.
     #[test]
     fn splits_conserve_tasks_and_the_reduction(seed in any::<u64>(), split_seed in any::<u64>()) {
         let (spec, root) = gen_spec(seed);
         let compiled = CompiledSpec::new(&spec, root).unwrap();
+        let mut g = G(split_seed);
         // Small thresholds: boundaries fall between BFE, DFE, restart-scan
         // and strip-mining supersteps alike.
-        let cfg = SchedConfig::restart(4, 16, 8);
-        let straight = SeqScheduler::new(&compiled, cfg).run();
+        for cfg in every_policy(4, 16, 8) {
+            let straight = SeqScheduler::new(&compiled, cfg).run();
 
-        let mut fresh = SeqScheduler::new(&compiled, cfg);
-        prop_assert!(fresh.split_off().is_none(), "only the root block exists: unsplittable");
+            let mut fresh = SeqScheduler::new(&compiled, cfg);
+            prop_assert!(fresh.split_off().is_none(), "only the root block exists: unsplittable");
 
-        let every = run_splitting(&compiled, fresh, &mut || true);
-        prop_assert_eq!(every.reducer, straight.reducer, "split at every boundary: reduction");
-        prop_assert_eq!(every.stats.tasks_executed, straight.stats.tasks_executed);
+            let every = run_splitting(&compiled, fresh, &mut || true);
+            prop_assert_eq!(every.reducer, straight.reducer, "{:?}: split at every boundary", cfg.policy);
+            prop_assert_eq!(every.stats.tasks_executed, straight.stats.tasks_executed);
 
-        let mut g = G(split_seed);
-        let some = run_splitting(&compiled, SeqScheduler::new(&compiled, cfg), &mut || g.chance(20));
-        prop_assert_eq!(some.reducer, straight.reducer, "random splits: reduction");
-        prop_assert_eq!(some.stats.tasks_executed, straight.stats.tasks_executed);
+            let some = run_splitting(&compiled, SeqScheduler::new(&compiled, cfg), &mut || g.chance(20));
+            prop_assert_eq!(some.reducer, straight.reducer, "{:?}: random splits", cfg.policy);
+            prop_assert_eq!(some.stats.tasks_executed, straight.stats.tasks_executed);
+        }
     }
 
     /// A data-parallel root (§5.2 foreach) splits through its unstripped
-    /// remainder: same conservation, same answer.
+    /// remainder: same conservation, same answer, under any policy.
     #[test]
     fn root_remainders_split_too(seed in any::<u64>()) {
         let (spec, root) = gen_spec(seed);
@@ -140,34 +146,42 @@ proptest! {
             .map(|_| root.iter().map(|_| g.range(0, 4)).collect())
             .collect();
         let compiled = CompiledSpec::with_data_parallel(&spec, calls).unwrap();
-        // t_dfe far below the root count: most roots wait in the remainder.
-        let cfg = SchedConfig::restart(4, 8, 4);
-        let straight = SeqScheduler::new(&compiled, cfg).run();
+        // t_dfe far below the root count: most roots wait in the remainder
+        // (adaptive strips at its grain cap, so it takes the same t_dfe).
+        let [basic, reexp, restart, _] = every_policy(4, 8, 4);
+        for cfg in [basic, reexp, restart, restart.with_policy(PolicyKind::Adaptive)] {
+            let straight = SeqScheduler::new(&compiled, cfg).run();
 
-        let mut engine = SeqScheduler::new(&compiled, cfg);
-        let first = engine.split_off().expect("an unstripped root remainder is splittable");
-        prop_assert!(first.tasks() >= 6, "half of at least 12 waiting roots");
-        let mut out = run_splitting(&compiled, engine, &mut || g.chance(30));
-        let theirs = run_splitting(&compiled, SeqScheduler::resume(&compiled, first), &mut || false);
-        compiled.merge_reducers(&mut out.reducer, theirs.reducer);
-        prop_assert_eq!(out.reducer, straight.reducer);
-        prop_assert_eq!(out.stats.tasks_executed + theirs.stats.tasks_executed, straight.stats.tasks_executed);
+            let mut engine = SeqScheduler::new(&compiled, cfg);
+            let first = engine.split_off().expect("an unstripped root remainder is splittable");
+            prop_assert!(first.tasks() >= 6, "half of at least 12 waiting roots");
+            let mut out = run_splitting(&compiled, engine, &mut || g.chance(30));
+            let theirs = run_splitting(&compiled, SeqScheduler::resume(&compiled, first), &mut || false);
+            compiled.merge_reducers(&mut out.reducer, theirs.reducer);
+            prop_assert_eq!(out.reducer, straight.reducer, "{:?}", cfg.policy);
+            prop_assert_eq!(
+                out.stats.tasks_executed + theirs.stats.tasks_executed,
+                straight.stats.tasks_executed
+            );
+        }
     }
 }
 
 #[test]
 fn hungry_thieves_get_a_share_of_a_running_job() {
-    let cfg = SchedConfig::restart(4, 64, 16);
     let fib = CompiledSpec::new(&examples::fib_spec(), vec![22]).unwrap();
-    let want = run_policy(&fib, cfg, None);
-    for workers in [2usize, 4] {
-        let pool = ThreadPool::new(workers);
-        let plug = KeepThievesHungry::new(&fib);
-        let got = run_scheduler(SchedulerKind::RestartSimplified, &plug, cfg, Some(&pool));
-        assert_eq!(got.reducer, want.reducer, "{workers} workers: reduction");
-        assert_eq!(got.stats.tasks_executed, want.stats.tasks_executed, "{workers} workers: tasks");
-        assert!(plug.threads_seen() >= 2, "{workers} workers: no split reached a second worker");
-        // One injector pop for the root, then at least the stolen split.
-        assert!(got.stats.steals >= 2, "{workers} workers: steals = {}", got.stats.steals);
+    for cfg in every_policy(4, 64, 16) {
+        let want = run_policy(&fib, cfg, None);
+        for workers in [2usize, 4] {
+            let what = format!("{:?} on {workers} workers", cfg.policy);
+            let pool = ThreadPool::new(workers);
+            let plug = KeepThievesHungry::new(&fib);
+            let got = run_scheduler(SchedulerKind::Par, &plug, cfg, Some(&pool));
+            assert_eq!(got.reducer, want.reducer, "{what}: reduction");
+            assert_eq!(got.stats.tasks_executed, want.stats.tasks_executed, "{what}: tasks");
+            assert!(plug.threads_seen() >= 2, "{what}: no split reached a second worker");
+            // One injector pop for the root, then at least the stolen split.
+            assert!(got.stats.steals >= 2, "{what}: steals = {}", got.stats.steals);
+        }
     }
 }

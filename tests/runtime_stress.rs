@@ -89,28 +89,6 @@ fn split_storms_conserve_every_token() {
 }
 
 #[test]
-fn per_worker_slots_survive_stealing_storms() {
-    let pool = ThreadPool::new(4);
-    let counts = PerWorker::new(4, |_| 0u64);
-    let n = 50_000u64;
-    pool.install(|ctx| {
-        fn go(ctx: &WorkerCtx<'_>, counts: &PerWorker<u64>, lo: u64, hi: u64) {
-            if hi - lo <= 16 {
-                for _ in lo..hi {
-                    counts.with(ctx, |c| *c += 1);
-                }
-                return;
-            }
-            let mid = lo + (hi - lo) / 2;
-            ctx.join(|c| go(c, counts, lo, mid), |c| go(c, counts, mid, hi));
-        }
-        go(ctx, &counts, 0, n)
-    });
-    let total: u64 = counts.into_values().into_iter().sum();
-    assert_eq!(total, n);
-}
-
-#[test]
 fn results_with_heap_payloads_move_correctly() {
     let pool = ThreadPool::new(3);
     let (left, right) = pool.install(|ctx| {
@@ -258,82 +236,6 @@ fn chase_lev_last_element_race_owner_vs_thief() {
         ROUNDS * (ROUNDS - 1) / 2,
         "element value corrupted or duplicated"
     );
-}
-
-#[test]
-fn steal_epoch_counts_exactly_the_successful_steals_under_storm() {
-    // The adaptive grain controller's input signal, tortured: three
-    // thieves hammer one owner while the owner interleaves pushes, pops
-    // and epoch polls. The epoch must (a) be monotone from the owner's
-    // seat, (b) never advance on owner pops or failed/empty steal
-    // attempts, and (c) land exactly on the number of successful steals —
-    // an over-count would make `Policy::Adaptive` reset its grain without
-    // a thief, an under-count would leave it coarse while being robbed.
-    const ITEMS: u64 = 60_000;
-    for seed in 1..=3u64 {
-        let w: Worker<u64> = Worker::new();
-        let stolen_cnt = AtomicU64::new(0);
-        let done = AtomicBool::new(false);
-        let mut rng = 0xA5A5_5A5A_0000_0000u64 | seed;
-        let mut popped_cnt = 0u64;
-        let mut last_epoch = 0u64;
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                let st = w.stealer();
-                let (stolen_cnt, done) = (&stolen_cnt, &done);
-                s.spawn(move || loop {
-                    match st.steal() {
-                        Steal::Success(_) => {
-                            stolen_cnt.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Steal::Retry => std::hint::spin_loop(),
-                        Steal::Empty => {
-                            if done.load(Ordering::Acquire) && st.is_empty() {
-                                break;
-                            }
-                            std::hint::spin_loop();
-                        }
-                    }
-                });
-            }
-            let mut next = 0u64;
-            while next < ITEMS {
-                let burst = 1 + xorshift(&mut rng) % 64;
-                for _ in 0..burst {
-                    if next == ITEMS {
-                        break;
-                    }
-                    w.push(next);
-                    next += 1;
-                }
-                let pops = xorshift(&mut rng) % 8;
-                for _ in 0..pops {
-                    if w.pop().is_some() {
-                        popped_cnt += 1;
-                    }
-                }
-                // The controller's poll, mid-storm: always monotone. (No
-                // comparison against the thieves' counter here — their
-                // Relaxed bookkeeping may lag the epoch bump — the exact
-                // equality is asserted at quiescence below.)
-                let e = w.steal_epoch();
-                assert!(e >= last_epoch, "seed {seed}: epoch went backwards ({last_epoch} -> {e})");
-                last_epoch = e;
-            }
-            while w.pop().is_some() {
-                popped_cnt += 1;
-            }
-            done.store(true, Ordering::Release);
-        });
-        let stolen = stolen_cnt.load(Ordering::Relaxed);
-        assert_eq!(popped_cnt + stolen, ITEMS, "seed {seed}: item lost or double-delivered");
-        assert_eq!(
-            w.steal_epoch(),
-            stolen,
-            "seed {seed}: epoch must count successful steals exactly — owner pops \
-             ({popped_cnt}) and failed races must not advance it"
-        );
-    }
 }
 
 #[test]
@@ -636,7 +538,7 @@ fn cross_shard_conservation_with_one_shard_saturated() {
                 saturator,
                 Blocker(Arc::clone(&release)),
                 SchedConfig::basic(1, 8),
-                SchedulerKind::ReExpansion,
+                SchedulerKind::Par,
             )
         })
         .collect();
@@ -669,7 +571,7 @@ fn cross_shard_conservation_with_one_shard_saturated() {
                                 FIB,
                                 vec![10],
                                 SchedConfig::restart(2, 256, 32),
-                                SchedulerKind::RestartSimplified,
+                                SchedulerKind::Par,
                                 tier,
                             ) {
                                 Ok(h) => fib_handles.push(h),
@@ -684,7 +586,7 @@ fn cross_shard_conservation_with_one_shard_saturated() {
                             tenant,
                             Tree(6),
                             SchedConfig::basic(2, 64),
-                            SchedulerKind::ReExpansion,
+                            SchedulerKind::Par,
                         ) {
                             Ok(h) => tree_handles.push(h),
                             Err(_) => {
@@ -698,7 +600,7 @@ fn cross_shard_conservation_with_one_shard_saturated() {
                             "spec broken(n) { base (n < 2) { reduce n; } else { oops; } }",
                             vec![3],
                             SchedConfig::basic(1, 16),
-                            SchedulerKind::ReExpansion,
+                            SchedulerKind::Par,
                             SpecTier::Auto,
                         ) {
                             Ok(h) => reject_handles.push(h),
@@ -761,7 +663,7 @@ fn cross_shard_conservation_with_one_shard_saturated() {
             FIB,
             vec![10],
             SchedConfig::restart(2, 256, 32),
-            SchedulerKind::RestartSimplified,
+            SchedulerKind::Par,
             SpecTier::Auto,
         )
         .expect("siblings have room: this job sheds, it does not reject");

@@ -6,8 +6,10 @@
 use taskblocks::prelude::*;
 use taskblocks::suite::{all_benchmarks, benchmark_by_name, Scale, SchedulerKind, Tier};
 
-/// The satellite matrix: all five schedulers return identical reducers on
-/// fib, nqueens and uts, for every policy family, on 1/2/4 threads.
+/// The satellite matrix: all three schedulers return identical reducers
+/// on fib, nqueens and uts, for every policy family, on 1/2/4 threads.
+/// (Named when the pool ran five scheduler types; the policy × scheduler
+/// cells it covers are the same.)
 #[test]
 fn five_schedulers_agree_on_fib_nqueens_uts_across_policies_and_threads() {
     let q = 4;
@@ -25,17 +27,12 @@ fn five_schedulers_agree_on_fib_nqueens_uts_across_policies_and_threads() {
             // The sequential engine honours the policy exactly...
             let seq = b.blocked_seq(cfg, Tier::Block);
             assert_eq!(seq.outcome, reference, "{name}: seq under {policy:?} disagrees with serial");
-            // ...and each multicore scheduler (which coerces the policy to
-            // its own family) must still produce the identical reducer, at
-            // every worker count.
+            // ...so does the pool scheduler, and the §3.4 reference (which
+            // coerces every policy to restart) must still produce the
+            // identical reducer, at every worker count.
             for threads in [1usize, 2, 4] {
                 let pool = ThreadPool::new(threads);
-                for kind in [
-                    SchedulerKind::ReExpansion,
-                    SchedulerKind::RestartSimplified,
-                    SchedulerKind::RestartIdeal,
-                    SchedulerKind::Adaptive,
-                ] {
+                for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
                     let got = b.blocked_par(&pool, cfg, kind, Tier::Block);
                     assert_eq!(
                         got.outcome,
@@ -58,35 +55,28 @@ fn every_benchmark_agrees_across_all_schedulers_and_tiers() {
         assert!(b.cilk(&pool).outcome.matches(&want, tol), "{}: cilk variant disagrees", b.name());
         for (t_dfe, t_r) in [(64usize, 16usize), (1 << 12, 1 << 8)] {
             for tier in [Tier::Block, Tier::Soa, Tier::Simd] {
-                let reexp = SchedConfig::reexpansion(b.q(), t_dfe);
                 let restart = SchedConfig::restart(b.q(), t_dfe, t_r);
-                let adaptive = SchedConfig::adaptive(b.q());
-                for (cfg, label) in [(reexp, "reexp"), (restart, "restart"), (adaptive, "adaptive")] {
-                    let got = b.blocked_seq(cfg, tier);
-                    assert!(
-                        got.outcome.matches(&want, tol),
-                        "{}: seq {label} {tier:?} t_dfe={t_dfe} disagrees: {:?} vs {:?}",
-                        b.name(),
-                        got.outcome,
-                        want
-                    );
-                }
-                for kind in [
-                    SchedulerKind::ReExpansion,
-                    SchedulerKind::RestartSimplified,
-                    SchedulerKind::RestartIdeal,
-                    SchedulerKind::Adaptive,
-                ] {
-                    let cfg = match kind {
-                        SchedulerKind::ReExpansion => reexp,
-                        SchedulerKind::Adaptive => adaptive,
-                        _ => restart,
+                let configs = [
+                    SchedConfig::basic(b.q(), t_dfe),
+                    SchedConfig::reexpansion(b.q(), t_dfe),
+                    restart,
+                    SchedConfig::adaptive(b.q()),
+                ];
+                let runs = configs
+                    .iter()
+                    .flat_map(|&cfg| [(SchedulerKind::Seq, cfg), (SchedulerKind::Par, cfg)])
+                    .chain([(SchedulerKind::RestartIdeal, restart)]);
+                for (kind, cfg) in runs {
+                    let got = match kind {
+                        SchedulerKind::Seq => b.blocked_seq(cfg, tier),
+                        _ => b.blocked_par(&pool, cfg, kind, tier),
                     };
-                    let got = b.blocked_par(&pool, cfg, kind, tier);
                     assert!(
                         got.outcome.matches(&want, tol),
-                        "{}: par {kind:?} {tier:?} t_dfe={t_dfe} disagrees: {:?} vs {:?}",
+                        "{}: {} {:?} {tier:?} t_dfe={t_dfe} disagrees: {:?} vs {:?}",
                         b.name(),
+                        kind.name(),
+                        cfg.policy,
                         got.outcome,
                         want
                     );
@@ -156,9 +146,9 @@ fn parallel_runs_are_repeatable() {
     let pool = ThreadPool::new(4);
     for b in all_benchmarks(Scale::Tiny) {
         let cfg = SchedConfig::restart(b.q(), 128, 32);
-        let a = b.blocked_par(&pool, cfg, SchedulerKind::RestartSimplified, Tier::Block);
+        let a = b.blocked_par(&pool, cfg, SchedulerKind::Par, Tier::Block);
         for _ in 0..3 {
-            let c = b.blocked_par(&pool, cfg, SchedulerKind::RestartSimplified, Tier::Block);
+            let c = b.blocked_par(&pool, cfg, SchedulerKind::Par, Tier::Block);
             assert!(a.outcome.matches(&c.outcome, b.tolerance().max(1e-9)), "{}", b.name());
             assert_eq!(a.stats.tasks_executed, c.stats.tasks_executed, "{}", b.name());
         }

@@ -3,15 +3,15 @@
 //! construction), executed through all three routes — the recursive
 //! reference interpreter, the instruction-stream `CompiledSpec` and the
 //! masked-lane `VectorSpec` (exercised at every monomorphized width
-//! 2/4/8, not just the host's detected one) — under all four schedulers at
-//! 1/2/4 workers. Every route must produce the identical (wrapping-`i64`)
+//! 2/4/8, not just the host's detected one) — under every policy and all
+//! three schedulers at 1/2/4 workers. Every route must produce the identical (wrapping-`i64`)
 //! reduction, and the compiled tiers must expand the identical computation
 //! tree (same task count, same supersteps), not merely agree on the
 //! answer.
 
 mod common;
 
-use common::{gen_spec, G};
+use common::{every_policy, gen_spec, G};
 use proptest::prelude::*;
 use taskblocks::prelude::*;
 use taskblocks::spec::{interpret, CompiledSpec, VectorSpec};
@@ -19,8 +19,8 @@ use taskblocks::spec::{interpret, CompiledSpec, VectorSpec};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// interpreter == CompiledSpec == VectorSpec, all four schedulers,
-    /// 1/2/4 workers, with thresholds small enough to exercise restart
+    /// interpreter == CompiledSpec == VectorSpec, every policy under all
+    /// three schedulers, 1/2/4 workers, with thresholds small enough to exercise restart
     /// parking and strip mining (and, for the vector tier, ragged remainder
     /// peels at every width).
     #[test]
@@ -53,11 +53,13 @@ proptest! {
 
         for threads in [1usize, 2, 4] {
             let pool = ThreadPool::new(threads);
-            for kind in SchedulerKind::ALL {
-                let got = run_scheduler(kind, &compiled, cfg, Some(&pool)).reducer;
-                prop_assert_eq!(got, want, "compiled under {:?} w={}", kind, threads);
-                let got = run_scheduler(kind, &simd, cfg, Some(&pool)).reducer;
-                prop_assert_eq!(got, want, "compiled_simd under {:?} w={}", kind, threads);
+            for cfg in every_policy(4, 16, 8) {
+                for kind in SchedulerKind::ALL {
+                    let got = run_scheduler(kind, &compiled, cfg, Some(&pool)).reducer;
+                    prop_assert_eq!(got, want, "compiled under {:?}/{:?} w={}", kind, cfg.policy, threads);
+                    let got = run_scheduler(kind, &simd, cfg, Some(&pool)).reducer;
+                    prop_assert_eq!(got, want, "compiled_simd under {:?}/{:?} w={}", kind, cfg.policy, threads);
+                }
             }
         }
     }
@@ -80,13 +82,14 @@ proptest! {
         let simd = VectorSpec::from_code_with_width(
             std::sync::Arc::clone(compiled.code()), &calls, 4);
         // t_dfe of 8 far below the root count forces strip mining.
-        let cfg = SchedConfig::restart(4, 8, 4);
         let pool = ThreadPool::new(3);
-        for kind in SchedulerKind::ALL {
-            prop_assert_eq!(run_scheduler(kind, &compiled, cfg, Some(&pool)).reducer, want,
-                "compiled foreach under {:?}", kind);
-            prop_assert_eq!(run_scheduler(kind, &simd, cfg, Some(&pool)).reducer, want,
-                "compiled_simd foreach under {:?}", kind);
+        for cfg in every_policy(4, 8, 4) {
+            for kind in SchedulerKind::ALL {
+                prop_assert_eq!(run_scheduler(kind, &compiled, cfg, Some(&pool)).reducer, want,
+                    "compiled foreach under {:?}/{:?}", kind, cfg.policy);
+                prop_assert_eq!(run_scheduler(kind, &simd, cfg, Some(&pool)).reducer, want,
+                    "compiled_simd foreach under {:?}/{:?}", kind, cfg.policy);
+            }
         }
     }
 }

@@ -82,14 +82,14 @@ fn vector_spec_task_counts_match_native_tree() {
 fn spec_source_through_the_service_front_end() {
     // The full PR 4 loop: a client ships source text to a shared Runtime,
     // which parses, lowers and schedules it — then reuses the cached code
-    // for a foreach resubmission under a different scheduler kind.
+    // for a foreach resubmission under a different policy.
     let rt = Runtime::new(3);
     let h = rt.submit_spec_foreach_tier_as(
         DEFAULT_TENANT,
         examples::TREESUM_SOURCE,
         vec![vec![6, 0]],
         SchedConfig::restart(8, 64, 16),
-        SchedulerKind::RestartSimplified,
+        SchedulerKind::Par,
         SpecTier::Auto,
     );
     assert_eq!(h.wait(), Ok(examples::treesum_expected(3, 6, 1)));
@@ -101,7 +101,7 @@ fn spec_source_through_the_service_front_end() {
         examples::TREESUM_SOURCE,
         calls,
         SchedConfig::basic(8, 32),
-        SchedulerKind::ReExpansion,
+        SchedulerKind::Par,
         SpecTier::Auto,
     );
     assert_eq!(h.wait(), Ok(want));

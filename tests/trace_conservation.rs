@@ -5,7 +5,7 @@
 //! equality here even when the trace still *renders* fine in Perfetto.
 //!
 //! One `#[test]` fn: the tb-obs registry and enable flag are process
-//! global, so the three phases below must not interleave with each other
+//! global, so the phases below must not interleave with each other
 //! or with any other test in this binary. Each phase starts from a fresh
 //! `drain_all()` so it only ever counts its own events.
 //!
@@ -27,17 +27,11 @@
 //!   event, so per worker `counter - 1 <= events <= counter` at every
 //!   instant; each worker's ring is read once inside each drain, hence
 //!   `b0 - a1 - workers <= count(StealAttempt) <= b1 - a0 + workers`.
-//! * adaptive: per victim worker `w`, the epochs consumed by `GrainReset`
-//!   events (`sum(arg where arg0 == w)`) never exceed `count(StealHit
-//!   where arg == w)` — every reset is backed by real successful steals of
-//!   that worker's jobs (each steal bumps the victim's epoch exactly once;
-//!   steals the worker never got around to observing make this `<=`, not
-//!   `==`). And on one worker there are no thieves at all, so a run must
-//!   record zero `GrainReset` events.
-//! * split-on-demand restart: every `SeqScheduler::split_off` records one
-//!   engine-level `Park` and the second engine's `resume` one `Resume`, so
-//!   the two counts are equal (and non-zero once thieves are kept hungry);
-//!   the pool and superstep equalities above hold across the splits.
+//! * split on demand, every policy: each `SeqScheduler::split_off`
+//!   records one engine-level `Park` and the second engine's `resume` one
+//!   `Resume`, so the two counts are equal (and non-zero once thieves are
+//!   kept hungry); the pool and superstep equalities above hold across the
+//!   splits.
 //! * service: the `Park` job-id multiset equals the `Resume` job-id
 //!   multiset at quiescence (every parked frontier resumed), and
 //!   `count(Admit)` equals the summed per-tenant `admissions` counter.
@@ -200,74 +194,40 @@ fn traced_runs_reconcile_with_scheduler_counters() {
     );
     drop(pool);
 
-    // ---- Phase B2: adaptive grain control, steal-epoch accounting ------
-    let _ = tb_obs::drain_all();
-    let acfg = SchedConfig::adaptive(4).with_trace(true);
-    let pool = ThreadPool::new(4);
-    let out = run_scheduler(SchedulerKind::Adaptive, &Fib(22), acfg, Some(&pool));
-    assert_eq!(out.reducer, 17_711);
-    let tracks = tb_obs::drain_all();
-    assert_eq!(sum_args(&tracks, EventKind::Superstep), out.stats.tasks_executed);
-    for w in 0..4u64 {
-        let consumed: u64 = tracks
-            .iter()
-            .flat_map(|t| &t.events)
-            .filter(|e| e.kind == EventKind::GrainReset && u64::from(e.arg0) == w)
-            .map(|e| e.arg)
-            .sum();
-        let hits = tracks
-            .iter()
-            .flat_map(|t| &t.events)
-            .filter(|e| e.kind == EventKind::StealHit && e.arg == w)
-            .count() as u64;
-        assert!(
-            consumed <= hits,
-            "worker {w}: grain resets consumed {consumed} epochs but thieves only \
-             landed {hits} steals on it — a reset without a thief"
-        );
-    }
-    // Every grown grain stays inside the controller's envelope: strictly
-    // above Q (a grow always doubles at least) and never past the cap.
-    let cap = 4u64 << 10;
-    for e in tracks.iter().flat_map(|t| &t.events).filter(|e| e.kind == EventKind::GrainGrow) {
-        assert!(e.arg > 4 && e.arg <= cap, "GrainGrow published grain {} outside (Q, cap]", e.arg);
-    }
-    drop(pool);
-
-    // A lone worker is never stolen from: its grain must only ever grow.
-    let _ = tb_obs::drain_all();
-    let pool = ThreadPool::new(1);
-    let out = run_scheduler(SchedulerKind::Adaptive, &Fib(20), acfg, Some(&pool));
-    assert_eq!(out.reducer, 6_765);
-    let tracks = tb_obs::drain_all();
-    assert_eq!(sum_args(&tracks, EventKind::Superstep), out.stats.tasks_executed);
-    assert_eq!(
-        count(&tracks, EventKind::GrainReset),
-        0,
-        "one worker has no thieves — the grain must never reset"
-    );
-    drop(pool);
-
-    // ---- Phase B3: split-on-demand restart, split accounting ------------
-    for workers in [2usize, 4] {
-        let pool = ThreadPool::new(workers);
-        let plug = KeepThievesHungry::new(Fib(22));
-        let before = pool.metrics();
-        let _ = tb_obs::drain_all();
-        let out = run_scheduler(SchedulerKind::RestartSimplified, &plug, cfg, Some(&pool));
-        assert_eq!(out.reducer, 17_711);
-        let tracks = tb_obs::drain_all();
-        let delta = pool.metrics().since(&before);
-        assert_eq!(sum_args(&tracks, EventKind::Superstep), out.stats.tasks_executed);
-        let splits = count(&tracks, EventKind::Park);
-        assert!(splits >= 1, "{workers} workers sat hungry and the job never split");
-        assert_eq!(splits, count(&tracks, EventKind::Resume), "every split frontier was resumed once");
-        assert_eq!(
-            count(&tracks, EventKind::StealHit) + count(&tracks, EventKind::InjectorPop),
-            delta.steals,
-            "splits go through join: every stolen one is a StealHit like any other job"
-        );
-        assert!(plug.threads_seen() >= 2, "a split was stolen and run by a second worker");
+    // ---- Phase B2: split on demand under every policy ------------------
+    let policies = [
+        SchedConfig::basic(4, 64),
+        SchedConfig::reexpansion(4, 64),
+        SchedConfig::restart(4, 64, 16),
+        SchedConfig::adaptive(4),
+    ];
+    for pcfg in policies {
+        let pcfg = pcfg.with_trace(true);
+        for workers in [2usize, 4] {
+            let what = format!("{:?} on {workers} workers", pcfg.policy);
+            let pool = ThreadPool::new(workers);
+            let plug = KeepThievesHungry::new(Fib(22));
+            let before = pool.metrics();
+            let _ = tb_obs::drain_all();
+            let out = run_scheduler(SchedulerKind::Par, &plug, pcfg, Some(&pool));
+            assert_eq!(out.reducer, 17_711, "{what}");
+            let tracks = tb_obs::drain_all();
+            let delta = pool.metrics().since(&before);
+            assert_eq!(sum_args(&tracks, EventKind::Superstep), out.stats.tasks_executed, "{what}");
+            let splits = count(&tracks, EventKind::Park);
+            assert!(splits >= 1, "{what}: workers sat hungry and the job never split");
+            assert_eq!(
+                splits,
+                count(&tracks, EventKind::Resume),
+                "{what}: every split frontier was resumed once"
+            );
+            assert_eq!(
+                count(&tracks, EventKind::StealHit) + count(&tracks, EventKind::InjectorPop),
+                delta.steals,
+                "{what}: splits go through join, so every stolen one is a StealHit like any other job"
+            );
+            assert!(plug.threads_seen() >= 2, "{what}: a split was stolen and run by a second worker");
+        }
     }
 
     // ---- Phase C: service admission, park/resume pairing ---------------
