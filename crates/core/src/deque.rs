@@ -11,19 +11,16 @@
 //! pops), "top" is the shallowest (where thieves steal), matching standard
 //! work-stealing orientation.
 //!
-//! Two implementations live here:
+//! One implementation, two faces:
 //!
-//! * [`LeveledDeque`] — the plain single-threaded structure used by the
-//!   sequential engine;
-//! * [`SharedLeveledDeque`] — the lock-free concurrent variant backing
-//!   [`ParRestartIdeal`](crate::par::ParRestartIdeal) since PR 2: each
-//!   level is an `AtomicPtr` to its heap-allocated slot pair, the owning
-//!   worker mutates levels by *detach → edit → republish*, and thieves
-//!   take an entire level — both its blocks, i.e. the §3.4 steal-half
-//!   unit — with a single atomic exchange. See DESIGN.md §6 for the
-//!   memory-ordering argument.
+//! * [`LeveledDeque`] — the plain single-threaded structure the sequential
+//!   engine owns;
+//! * [`SharedLeveledDeque`] — the same deque behind a mutex, one per
+//!   worker of [`ParRestartIdeal`](crate::par::ParRestartIdeal). Thieves
+//!   `try_lock` it and take the shallowest level whole — both its blocks,
+//!   the §3.4 steal-half unit. See DESIGN.md §6.2 for why a lock suffices.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 use crate::block::{TaskBlock, TaskStore};
 
@@ -186,6 +183,25 @@ impl<S: TaskStore> LeveledDeque<S> {
     /// restart slot) and the shallowest non-empty block is removed and
     /// returned for BFE. Each merge performed is reported through `merges`.
     pub fn find_restart(&mut self, t_restart: usize, merges: &mut u64) -> RestartFind<S> {
+        match self.merge_scan(t_restart, merges) {
+            Ok(block) => RestartFind::Dfe(block),
+            Err(Some(level)) => {
+                let store = self.levels[level].restart.take().expect("tracked nonempty");
+                self.blocks -= 1;
+                self.tasks -= store.len();
+                RestartFind::Top(TaskBlock::new(level, store))
+            }
+            Err(None) => RestartFind::Empty,
+        }
+    }
+
+    /// The bottom-up merge-scan behind both [`find_restart`](Self::find_restart)
+    /// and [`SharedLeveledDeque::find_restart_full`]: every scanned level's
+    /// two slots are merged into its restart slot, and the first level
+    /// reaching `t_restart` tasks is removed and returned. On failure
+    /// everything stays parked and the shallowest occupied level (if any)
+    /// comes back as the error.
+    fn merge_scan(&mut self, t_restart: usize, merges: &mut u64) -> Result<TaskBlock<S>, Option<usize>> {
         let mut shallowest: Option<usize> = None;
         for level in (0..self.levels.len()).rev() {
             let slot = &mut self.levels[level];
@@ -208,19 +224,22 @@ impl<S: TaskStore> LeveledDeque<S> {
                 let store = slot.restart.take().expect("nonempty level");
                 self.blocks -= 1;
                 self.tasks -= store.len();
-                return RestartFind::Dfe(TaskBlock::new(level, store));
+                return Ok(TaskBlock::new(level, store));
             }
             shallowest = Some(level);
         }
-        match shallowest {
-            Some(level) => {
-                let store = self.levels[level].restart.take().expect("tracked nonempty");
-                self.blocks -= 1;
-                self.tasks -= store.len();
-                RestartFind::Top(TaskBlock::new(level, store))
-            }
-            None => RestartFind::Empty,
-        }
+        Err(shallowest)
+    }
+
+    /// Remove the shallowest occupied level whole — both its slots, the
+    /// §3.4 steal unit — and return it with its level index. `None` when
+    /// nothing is parked.
+    fn take_shallowest(&mut self) -> Option<(usize, LevelSlot<S>)> {
+        let level = self.levels.iter().position(|s| !s.is_empty())?;
+        let slot = std::mem::take(&mut self.levels[level]);
+        self.blocks -= slot.blocks();
+        self.tasks -= slot.tasks();
+        Some((level, slot))
     }
 
     /// Split the shallowest half of the occupied levels (rounded up) off
@@ -420,18 +439,18 @@ mod tests {
 }
 
 // ---------------------------------------------------------------------------
-// Lock-free shared leveled deque (PR 2)
+// Shared leveled deque: the sequential deque behind a lock
 // ---------------------------------------------------------------------------
 
 /// Loot returned by [`SharedLeveledDeque::steal_half`]: the whole top level
-/// of the victim's deque, taken with one atomic exchange.
+/// of the victim's deque.
 ///
 /// A level holds at most two blocks (the §3.3 invariant), so the thief
 /// executes the ⌈half⌉ it prefers — `primary` — and re-parks `leftover`
 /// (the remaining ⌊half⌋, if the level held two blocks) on *its own* deque. This is the
-/// block-granularity steal-half protocol: one atomic operation relieves the
-/// victim of a whole level, and the thief splits the loot instead of going
-/// back for seconds.
+/// block-granularity steal-half protocol: one steal relieves the victim of
+/// a whole level, and the thief splits the loot instead of going back for
+/// seconds.
 #[derive(Debug)]
 pub struct StolenLevel<S> {
     /// The block the thief should act on (full ⇒ DFE, undersized ⇒ BFE
@@ -442,696 +461,113 @@ pub struct StolenLevel<S> {
     pub leftover: Option<TaskBlock<S>>,
 }
 
-/// One level's slot pair, heap-allocated so a level can change hands with a
-/// single pointer exchange.
-#[derive(Debug)]
-struct LevelCell<S> {
-    dfe: Option<S>,
-    restart: Option<S>,
-}
-
-impl<S: TaskStore> LevelCell<S> {
-    fn blocks(&self) -> usize {
-        usize::from(self.dfe.is_some()) + usize::from(self.restart.is_some())
-    }
-
-    fn tasks(&self) -> usize {
-        self.dfe.as_ref().map_or(0, TaskStore::len) + self.restart.as_ref().map_or(0, TaskStore::len)
-    }
-}
-
-/// Levels per lazily-allocated segment (64 × 8-byte slots = one page-ish).
-const SEG_LEN: usize = 64;
-/// Segments in the spine: supports computation trees up to
-/// `SEG_LEN × SPINE_LEN` = 4096 levels deep (the deepest paper input, UTS,
-/// reaches 228).
-const SPINE_LEN: usize = 64;
-
-struct Segment<S> {
-    slots: [AtomicPtr<LevelCell<S>>; SEG_LEN],
-}
-
-impl<S> Segment<S> {
-    fn new() -> Box<Self> {
-        Box::new(Segment { slots: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())) })
-    }
-}
-
-/// A leveled deque whose levels are stealable without locks.
+/// A [`LeveledDeque`] any thread may use: every method takes the deque's
+/// mutex and delegates to the sequential structure.
 ///
-/// Concurrency contract — the same split Chase–Lev uses:
-///
-/// * **owner operations** ([`push_dfe`](Self::push_dfe),
-///   [`push_restart`](Self::push_restart),
-///   [`find_restart_full`](Self::find_restart_full),
-///   [`take_level`](Self::take_level)) may be called by *one* thread at a
-///   time — the worker that owns this deque (or the driver before the
-///   workers start);
-/// * **thief operations** ([`steal_half`](Self::steal_half)) and the
-///   counter reads may be called by any thread concurrently with anything.
-///
-/// Every occupied level is an `AtomicPtr` to its boxed level cell.
-/// Whoever `swap`s a non-null pointer out *owns* that cell outright — there
-/// is no window in which two threads can observe the same cell, so there is
-/// no ABA problem and no deferred reclamation: ownership rides the
-/// exchange. The owner edits a level by detaching it (swap to null),
-/// mutating privately, and republishing (swap back); thieves that scan past
-/// a detached level simply see it as momentarily empty, which is benign —
-/// a failed steal is always allowed to fail.
+/// The owner takes the lock once per block it parks or assembles, and
+/// each such block carries at least `t_restart` tasks of work (or ends a
+/// chain that did); a thief takes it once per probe with `try_lock` and
+/// gives up when the owner holds it — a failed steal is always allowed in
+/// §3.4. So the lock is uncontended on the owner's path and never waited
+/// on by a thief.
+#[derive(Default)]
 pub struct SharedLeveledDeque<S> {
-    spine: Box<[AtomicPtr<Segment<S>>]>,
-    /// Deepest level the owner has ever occupied (monotone hint bounding
-    /// scans; levels above it are guaranteed null).
-    deepest: AtomicUsize,
-    /// Net blocks/tasks the owner has parked minus what it has removed,
-    /// packed as `blocks << OCC_BLOCK_SHIFT | tasks`. Single writer (the
-    /// owner), so it is maintained with plain load + store — no RMW on the
-    /// owner's hot path. Statistics only.
-    owner_net: AtomicU64,
-    /// Blocks/tasks removed by thieves (same packing), `fetch_add`ed on
-    /// each successful steal — an RMW, but steals are rare by design.
-    /// Current occupancy = `owner_net - thief_taken`, per field: exact at
-    /// quiescent points, transiently stale mid-operation.
-    thief_taken: AtomicU64,
-    /// The owner's private `(dfe_len, restart_len)` upper bound per level.
-    ///
-    /// Published cells are *immutable to everyone but the owner* (thieves
-    /// only take whole cells), so the owner always knows an upper bound on
-    /// every level's contents without touching shared memory: exact for
-    /// levels no thief has hit, `(0, 0)`-discoverable (a `detach` returning
-    /// `None`) for levels that were stolen. The merge-scan consults this
-    /// mirror to *skip* levels that cannot qualify — a plain array read
-    /// instead of a detach/republish exchange pair — which is what keeps
-    /// the owner's scan as cheap as the single-threaded [`LeveledDeque`]'s.
-    /// Owner-only by the struct's concurrency contract.
-    mirror: std::cell::UnsafeCell<Vec<(usize, usize)>>,
-    /// Owner's *shrinking* bound on the deepest occupied level (the atomic
-    /// `deepest` only ever grows — it is the thieves' conservative bound).
-    /// Pushes raise it exactly; each merge-scan lowers it to the deepest
-    /// level it actually saw occupied, so steady-state scans walk the
-    /// occupied band instead of the deque's historical depth. May
-    /// overestimate (extra empty-entry checks), never underestimates.
-    /// Owner-only by the struct's concurrency contract.
-    mirror_hi: std::cell::UnsafeCell<usize>,
-    /// Owner-side cache of emptied [`LevelCell`] boxes, so the steady-state
-    /// park/assemble cycle recycles one allocation instead of hitting the
-    /// allocator per scheduling action (the single-threaded deque's `Vec`
-    /// slots never allocate either). Thief-consumed cells are simply
-    /// dropped on the thief's side — steals are rare by design.
-    /// Owner-only by the struct's concurrency contract.
-    spare_cells: std::cell::UnsafeCell<Vec<Box<LevelCell<S>>>>,
-    /// Owner-side count of mirror entries whose `dfe + restart` total meets
-    /// [`qualify_t`](Self::find_restart_full)'s threshold. While a cell is
-    /// present its mirror entry is exact, so a *returnable* level always
-    /// contributes here; stale thief-emptied entries can only overcount.
-    /// Zero therefore proves a failing scan without walking the mirror.
-    /// Owner-only by the struct's concurrency contract.
-    maybe_full: std::cell::UnsafeCell<usize>,
-    /// The qualification threshold `maybe_full` was counted against —
-    /// `usize::MAX` until the first merge-scan fixes it (the counter is
-    /// rebaselined whenever the caller's threshold changes, which in
-    /// practice happens once per run). Owner-only.
-    qualify_t: std::cell::UnsafeCell<usize>,
-    /// Candidate levels for the merge-scan, stored in *increasing* level
-    /// order so `pop` yields the deepest first. One walk collects every
-    /// qualifying level; a burst of successful scans then consumes them one
-    /// `pop`-plus-revalidation at a time instead of re-walking the mirror
-    /// per success, and [`note_mirror_change`](Self::note_mirror_change)
-    /// inserts any level a later push lifts across the threshold — keeping
-    /// the cache a **superset** of the qualifying set, so the deepest pop
-    /// is always the level a fresh walk would have chosen (the schedule
-    /// never deviates from §3.4 deepest-first). Entries are hints, not
-    /// truth — each is re-checked against the live mirror before being
-    /// consumed. Owner-only by the struct's concurrency contract.
-    pending_full: std::cell::UnsafeCell<Vec<usize>>,
-}
-
-/// Cap on the owner's recycled-cell cache.
-const SPARE_CELL_CAP: usize = 32;
-
-/// Bit position of the block count inside the packed occupancy word
-/// (tasks get the low 48 bits — `2^48` parked tasks is beyond any run).
-const OCC_BLOCK_SHIFT: u32 = 48;
-
-#[inline]
-fn occ(blocks: usize, tasks: usize) -> u64 {
-    ((blocks as u64) << OCC_BLOCK_SHIFT) | tasks as u64
-}
-
-// SAFETY: all cross-thread hand-off goes through atomic pointer exchange
-// with Acquire/Release ordering; a cell is reachable from exactly one
-// handle after any swap. The `mirror` is only touched by owner operations,
-// which the concurrency contract restricts to one thread at a time (with
-// cross-thread owner hand-off — driver seeding → worker — ordered by the
-// thread-spawn happens-before edge).
-unsafe impl<S: Send> Send for SharedLeveledDeque<S> {}
-unsafe impl<S: Send> Sync for SharedLeveledDeque<S> {}
-
-impl<S: TaskStore> Default for SharedLeveledDeque<S> {
-    fn default() -> Self {
-        Self::new()
-    }
+    inner: Mutex<LeveledDeque<S>>,
 }
 
 impl<S: TaskStore> SharedLeveledDeque<S> {
-    /// An empty deque. Segments are allocated on first touch of a level.
+    /// An empty deque.
     pub fn new() -> Self {
-        SharedLeveledDeque {
-            spine: (0..SPINE_LEN).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect(),
-            deepest: AtomicUsize::new(0),
-            owner_net: AtomicU64::new(0),
-            thief_taken: AtomicU64::new(0),
-            mirror: std::cell::UnsafeCell::new(Vec::new()),
-            mirror_hi: std::cell::UnsafeCell::new(0),
-            spare_cells: std::cell::UnsafeCell::new(Vec::new()),
-            maybe_full: std::cell::UnsafeCell::new(0),
-            qualify_t: std::cell::UnsafeCell::new(usize::MAX),
-            pending_full: std::cell::UnsafeCell::new(Vec::new()),
-        }
+        SharedLeveledDeque { inner: Mutex::new(LeveledDeque::new()) }
     }
 
-    /// Owner-only bookkeeping for the merge-scan: called with a mirror
-    /// entry's value before and after a write, it keeps the count of
-    /// threshold-qualifying entries (`maybe_full`) exact, and keeps the
-    /// candidate cache (`pending_full`) a *superset* of the qualifying
-    /// set — a write that lifts `level` across the threshold inserts it in
-    /// sorted position, so the scan's deepest-first pop order matches what
-    /// a fresh walk would find (a late deep qualifier must not be shadowed
-    /// by shallower cached candidates). A no-op until the first merge-scan
-    /// establishes the threshold.
-    ///
-    /// # Safety
-    /// Caller must be the owner.
-    unsafe fn note_mirror_change(&self, level: usize, old: (usize, usize), new: (usize, usize)) {
-        // SAFETY: owner operation per the caller contract.
-        let t = unsafe { *self.qualify_t.get() };
-        if t == usize::MAX {
-            return;
-        }
-        let was = old.0 + old.1 >= t;
-        let is = new.0 + new.1 >= t;
-        if was != is {
-            // SAFETY: owner operation per the caller contract.
-            let c = unsafe { &mut *self.maybe_full.get() };
-            if is {
-                *c += 1;
-            } else {
-                debug_assert!(*c > 0, "maybe_full underflow");
-                *c = c.saturating_sub(1);
-            }
-        }
-        if is && !was {
-            // SAFETY: owner operation per the caller contract.
-            let pending = unsafe { &mut *self.pending_full.get() };
-            if let Err(pos) = pending.binary_search(&level) {
-                pending.insert(pos, level);
-            }
-        }
+    /// The deque, recovered if a panicking holder poisoned the lock: every
+    /// operation moves each block in one step, so an interrupted one can at
+    /// worst leave the block/task statistics stale, never a block lost or
+    /// reachable twice.
+    fn lock(&self) -> MutexGuard<'_, LeveledDeque<S>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Owner-only counter bump: plain load + store (single writer), so the
-    /// owner's hot path carries no counter RMW. `delta` is added when
-    /// `credit`, subtracted otherwise.
-    fn owner_account(&self, delta: u64, credit: bool) {
-        let cur = self.owner_net.load(Ordering::Relaxed);
-        let next = if credit { cur.wrapping_add(delta) } else { cur.wrapping_sub(delta) };
-        self.owner_net.store(next, Ordering::Relaxed);
-    }
-
-    /// A cell holding `dfe`/`restart`, recycled from the owner cache when
-    /// possible.
-    ///
-    /// # Safety
-    /// Caller must be the owner.
-    unsafe fn fresh_cell(&self, dfe: Option<S>, restart: Option<S>) -> Box<LevelCell<S>> {
-        match unsafe { (*self.spare_cells.get()).pop() } {
-            Some(mut cell) => {
-                cell.dfe = dfe;
-                cell.restart = restart;
-                cell
-            }
-            None => Box::new(LevelCell { dfe, restart }),
-        }
-    }
-
-    /// Recycle an emptied cell into the owner cache (bounded).
-    ///
-    /// # Safety
-    /// Caller must be the owner, and the cell must be empty.
-    unsafe fn cache_cell(&self, cell: Box<LevelCell<S>>) {
-        debug_assert!(cell.dfe.is_none() && cell.restart.is_none());
-        let spares = unsafe { &mut *self.spare_cells.get() };
-        if spares.len() < SPARE_CELL_CAP {
-            spares.push(cell);
-        }
-    }
-
-    /// The owner's mirror entry for `level`, growing the mirror on demand.
-    ///
-    /// # Safety
-    /// Caller must be the owner (per the struct's concurrency contract).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn mirror_entry(&self, level: usize) -> &mut (usize, usize) {
-        let m = unsafe { &mut *self.mirror.get() };
-        if level >= m.len() {
-            m.resize(level + 1, (0, 0));
-        }
-        &mut m[level]
-    }
-
-    /// Approximate `(blocks, tasks)` parked, from one read of each counter
-    /// (exact at quiescent points).
+    /// `(blocks, tasks)` parked.
     pub fn counts(&self) -> (usize, usize) {
-        const MASK: u64 = (1 << OCC_BLOCK_SHIFT) - 1;
-        let net = self.owner_net.load(Ordering::Relaxed);
-        let taken = self.thief_taken.load(Ordering::Relaxed);
-        (
-            ((net >> OCC_BLOCK_SHIFT) as usize).saturating_sub((taken >> OCC_BLOCK_SHIFT) as usize),
-            ((net & MASK) as usize).saturating_sub((taken & MASK) as usize),
-        )
+        let d = self.lock();
+        (d.block_count(), d.task_count())
     }
 
-    /// Approximate number of parked blocks (exact at quiescent points).
+    /// Number of parked blocks.
     pub fn block_count(&self) -> usize {
-        self.counts().0
+        self.lock().block_count()
     }
 
-    /// Approximate number of parked tasks (exact at quiescent points).
+    /// Number of parked tasks.
     pub fn task_count(&self) -> usize {
-        self.counts().1
+        self.lock().task_count()
     }
 
-    /// True when no block is visible (approximate between operations).
+    /// True when no block is parked.
     pub fn is_empty(&self) -> bool {
-        self.block_count() == 0
-    }
-
-    /// The slot for `level` if its segment exists (thieves never allocate).
-    fn slot(&self, level: usize) -> Option<&AtomicPtr<LevelCell<S>>> {
-        let seg = self.spine[level / SEG_LEN].load(Ordering::Acquire);
-        if seg.is_null() {
-            return None;
-        }
-        // SAFETY: segments are never freed before the deque drops; the
-        // Acquire load pairs with the installing CAS's Release.
-        Some(unsafe { &(*seg).slots[level % SEG_LEN] })
-    }
-
-    /// The slot for `level`, allocating its segment on demand. Allocation
-    /// races are resolved by CAS; the loser frees its candidate.
-    fn slot_or_alloc(&self, level: usize) -> &AtomicPtr<LevelCell<S>> {
-        assert!(level < SEG_LEN * SPINE_LEN, "computation tree deeper than {} levels", SEG_LEN * SPINE_LEN);
-        let spine_slot = &self.spine[level / SEG_LEN];
-        let mut seg = spine_slot.load(Ordering::Acquire);
-        if seg.is_null() {
-            let candidate = Box::into_raw(Segment::new());
-            // Release on success: publish the zeroed slots. Acquire on
-            // failure: adopt the winner's segment.
-            match spine_slot.compare_exchange(
-                std::ptr::null_mut(),
-                candidate,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => seg = candidate,
-                Err(winner) => {
-                    // SAFETY: `candidate` was never published.
-                    drop(unsafe { Box::from_raw(candidate) });
-                    seg = winner;
-                }
-            }
-        }
-        // SAFETY: non-null segments live until the deque drops.
-        unsafe { &(*seg).slots[level % SEG_LEN] }
-    }
-
-    /// Detach the cell at `slot`. Acquire pairs with the Release of
-    /// whichever thread published the cell, making its contents visible.
-    ///
-    /// A plain load prefilters the common empty case so scans over vacant
-    /// levels cost a read, not an RMW — the `swap` (one atomic exchange)
-    /// runs only when there is something to take. The load may race a
-    /// concurrent publish/steal; that only turns one steal opportunity
-    /// into a miss, which the protocol always tolerates.
-    fn detach(slot: &AtomicPtr<LevelCell<S>>) -> Option<Box<LevelCell<S>>> {
-        if slot.load(Ordering::Relaxed).is_null() {
-            return None;
-        }
-        let p = slot.swap(std::ptr::null_mut(), Ordering::Acquire);
-        // SAFETY: a non-null swap result transfers sole ownership.
-        (!p.is_null()).then(|| unsafe { Box::from_raw(p) })
-    }
-
-    /// Republish a cell (owner-only). Release publishes the cell contents
-    /// to the next `detach`er. A plain store (not an exchange) is sound
-    /// because the slot is necessarily null here: only the owner publishes,
-    /// the owner detached this slot (or proved it empty via the mirror),
-    /// and a concurrent thief can only turn a null slot into a null slot —
-    /// so no pointer can be overwritten and lost.
-    fn publish(slot: &AtomicPtr<LevelCell<S>>, cell: Box<LevelCell<S>>) {
-        debug_assert!(
-            slot.load(Ordering::Relaxed).is_null(),
-            "slot republished while occupied: second owner?"
-        );
-        slot.store(Box::into_raw(cell), Ordering::Release);
+        self.lock().is_empty()
     }
 
     /// Park a DFE-leftover block at its level, merging with any DFE block
     /// already parked there; returns `true` when a merge happened.
-    /// Owner-only.
     pub fn push_dfe(&self, block: TaskBlock<S>) -> bool {
-        self.push_slot(block, false)
+        self.lock().push_dfe(block)
     }
 
     /// Park a restart-leftover block at its level, merging with any restart
     /// block already parked there; returns `true` when a merge happened.
-    /// Owner-only.
     pub fn push_restart(&self, block: TaskBlock<S>) -> bool {
-        self.push_slot(block, true)
+        self.lock().push_restart(block)
     }
 
-    fn push_slot(&self, block: TaskBlock<S>, restart: bool) -> bool {
-        if block.is_empty() {
-            return false;
-        }
-        let len = block.len();
-        let level_idx = block.level;
-        let slot = self.slot_or_alloc(block.level);
-        // Monotone hint: RMW only when the deque actually deepens.
-        if self.deepest.load(Ordering::Relaxed) < block.level {
-            self.deepest.fetch_max(block.level, Ordering::Relaxed);
-        }
-        // SAFETY: push is an owner operation.
-        unsafe {
-            let hi = &mut *self.mirror_hi.get();
-            if *hi < block.level {
-                *hi = block.level;
-            }
-        }
-        // SAFETY: push is an owner operation.
-        let entry = unsafe { self.mirror_entry(block.level) };
-        let entry_before = *entry;
-        let mut incoming = block.store;
-        // Mirror says empty ⇒ the slot is null (thieves only *empty*
-        // levels, so the mirror never underestimates): skip the detach.
-        // Mirror says occupied ⇒ swap directly, no prefilter load — the
-        // swap resolves the (rare) race with a thief by returning null.
-        let existing = if *entry == (0, 0) {
-            None
-        } else {
-            let p = slot.swap(std::ptr::null_mut(), Ordering::Acquire);
-            // SAFETY: a non-null swap result transfers sole ownership.
-            (!p.is_null()).then(|| unsafe { Box::from_raw(p) })
-        };
-        let (cell, merged) = match existing {
-            Some(mut cell) => {
-                let target = if restart { &mut cell.restart } else { &mut cell.dfe };
-                let merged = match target {
-                    Some(existing) => {
-                        existing.append(&mut incoming);
-                        true
-                    }
-                    none => {
-                        *none = Some(incoming);
-                        false
-                    }
-                };
-                (cell, merged)
-            }
-            None => {
-                // Slot empty — or the mirror was stale because a thief
-                // emptied the level; either way we start a fresh cell.
-                *entry = (0, 0);
-                // SAFETY: push is an owner operation.
-                let cell = if restart {
-                    unsafe { self.fresh_cell(None, Some(incoming)) }
-                } else {
-                    unsafe { self.fresh_cell(Some(incoming), None) }
-                };
-                (cell, false)
-            }
-        };
-        *entry =
-            (cell.dfe.as_ref().map_or(0, TaskStore::len), cell.restart.as_ref().map_or(0, TaskStore::len));
-        // One note covers the net mirror change, including the transient
-        // `(0, 0)` reset on the stale-mirror path above.
-        // SAFETY: push is an owner operation.
-        unsafe { self.note_mirror_change(level_idx, entry_before, *entry) };
-        // Count before publishing so a thief that immediately steals the
-        // cell never drives the counters negative.
-        self.owner_account(occ(usize::from(!merged), len), true);
-        Self::publish(slot, cell);
-        merged
-    }
-
-    /// Detach and return the merged contents of `level` (both slots), if
-    /// any. Owner-only (used by the BFE burst to absorb own leftovers).
+    /// Remove and return the merged contents of `level` (both slots), if
+    /// any (the BFE burst absorbing its own leftovers).
     pub fn take_level(&self, level: usize) -> Option<TaskBlock<S>> {
-        // SAFETY: take_level is an owner operation.
-        let entry = unsafe { self.mirror_entry(level) };
-        if *entry == (0, 0) {
-            return None; // mirror never underestimates: level is empty
-        }
-        let entry_before = *entry;
-        *entry = (0, 0);
-        // SAFETY: take_level is an owner operation.
-        unsafe { self.note_mirror_change(level, entry_before, (0, 0)) };
-        let slot = self.slot(level)?;
-        let mut cell = Self::detach(slot)?;
-        self.owner_account(occ(cell.blocks(), cell.tasks()), false);
-        let mut merged: Option<S> = None;
-        for mut s in [cell.dfe.take(), cell.restart.take()].into_iter().flatten() {
-            match &mut merged {
-                Some(m) => m.append(&mut s),
-                none => *none = Some(s),
-            }
-        }
-        // SAFETY: owner operation; cell fully drained above.
-        unsafe { self.cache_cell(cell) };
-        merged.map(|s| TaskBlock::new(level, s))
+        self.lock().take_level(level)
     }
 
-    /// The §3.4 merge-scan: walk from the deepest occupied level toward the
-    /// top; the first level whose two slots together reach `t_restart`
-    /// tasks is merged, removed, and returned for DFE. On failure
-    /// everything stays parked and `None` is returned — the worker then
-    /// *steals*. Each physical merge performed is reported through
-    /// `merges`. Owner-only.
-    ///
-    /// Unlike the sequential [`LeveledDeque::find_restart`], which merges
-    /// every scanned level's slot pair eagerly (free when the deque has a
-    /// single owner and no one else can see it), the lock-free scan decides
-    /// qualification from the owner mirror — `dfe_len + restart_len` is
-    /// exact whenever the cell is present — and defers the physical merge
-    /// to the moment a level is actually *consumed* (here, by
-    /// [`take_level`](Self::take_level), or by a thief's
-    /// [`steal_half`](Self::steal_half), which hands over both halves).
-    /// The assembled block, its level, and the schedule's reduction are
-    /// identical; only the merge timing (and so the `merges`-stat
-    /// attribution) differs. The payoff is that a *failing* scan performs
-    /// zero shared-memory operations — and, via the `maybe_full` count of
-    /// qualifying mirror entries (maintained at every mirror write), the
-    /// common all-levels-below-threshold case is decided in O(1) without
-    /// even walking the private array — which is what lets the restart
-    /// scheduler spin its scan-steal-descend loop without serializing
-    /// against its thieves.
-    ///
-    /// The *success* path is amortized the same way: a walk collects every
-    /// qualifying level in its single pass (into `pending_full`), consumes
-    /// the deepest, and leaves the rest as candidates, so a burst of
-    /// successful scans — the steady state of a restart scheduler draining
-    /// a deep deque — costs one walk total instead of one walk each.
-    /// Candidates are re-validated against the live mirror before being
-    /// consumed, so intervening pushes, steals and `take_level`s are safe.
+    /// The §3.4 merge-scan: walk from the deepest level toward the top,
+    /// merging each level's two slots; the first level reaching `t_restart`
+    /// tasks is removed and returned for DFE. On failure everything stays
+    /// parked and `None` is returned — the worker then *steals*. Each merge
+    /// performed is reported through `merges`.
     pub fn find_restart_full(&self, t_restart: usize, merges: &mut u64) -> Option<TaskBlock<S>> {
-        // SAFETY: the merge-scan is an owner operation; nothing in the loop
-        // body touches the mirror through another path.
-        let mirror = unsafe { &mut *self.mirror.get() };
-        let hi = unsafe { &mut *self.mirror_hi.get() };
-        let pending = unsafe { &mut *self.pending_full.get() };
-        // A returnable level has a present cell (≥ 1 task, mirror exact)
-        // and meets `t_restart`, so counting against `max(t_restart, 1)`
-        // never undercounts one; stale thief-emptied entries only ever
-        // overcount, which costs a walk, not correctness.
-        let t_eff = t_restart.max(1);
-        // SAFETY: the merge-scan is an owner operation.
-        unsafe {
-            if *self.qualify_t.get() != t_eff {
-                // Threshold changed (in practice: first scan of the run) —
-                // rebaseline the counter with one mirror walk and drop any
-                // candidates collected against the old threshold.
-                *self.maybe_full.get() = mirror.iter().filter(|(d, r)| d + r >= t_eff).count();
-                *self.qualify_t.get() = t_eff;
-                pending.clear();
-            }
-            if *self.maybe_full.get() == 0 {
-                pending.clear();
-                return None; // no entry can qualify: O(1) failing scan
-            }
-        }
-        if mirror.is_empty() {
-            return None;
-        }
-        // Fast path: drain candidates from the last walk, deepest first.
-        // The mirror re-check is the §3.4 qualification test on live data;
-        // a candidate that shrank (consumed, stolen) is just dropped.
-        while let Some(level) = pending.pop() {
-            let entry = &mut mirror[level];
-            if entry.0 + entry.1 < t_eff {
-                continue;
-            }
-            // SAFETY: the merge-scan is an owner operation.
-            if let Some(block) = unsafe { self.consume_full_level(level, entry, merges) } {
-                return Some(block);
-            }
-        }
-        let start = (*hi).min(mirror.len() - 1);
-        // Slow path: one walk over the occupied band, collecting *every*
-        // qualifying level. Mirror lengths are exact while a cell is
-        // present, so the test is the §3.4 qualification itself, not a
-        // heuristic. The deepest level the walk saw occupied becomes the
-        // new shrinking bound, so the next walk skips the empty tail.
-        let mut seen_hi = 0usize;
-        for level in (0..=start).rev() {
-            let (dfe_len, restart_len) = mirror[level];
-            if dfe_len + restart_len > 0 {
-                seen_hi = seen_hi.max(level);
-            }
-            if dfe_len + restart_len >= t_eff {
-                pending.push(level);
-            }
-        }
-        *hi = seen_hi;
-        // Collected deepest-to-shallowest; flip so `pop` yields deepest.
-        pending.reverse();
-        while let Some(level) = pending.pop() {
-            let entry = &mut mirror[level];
-            if entry.0 + entry.1 < t_eff {
-                continue;
-            }
-            // SAFETY: the merge-scan is an owner operation.
-            if let Some(block) = unsafe { self.consume_full_level(level, entry, merges) } {
-                return Some(block);
-            }
-        }
-        None
+        self.lock().merge_scan(t_restart, merges).ok()
     }
 
-    /// Detach, physically merge, and account the cell at `level`, whose
-    /// mirror `entry` claims a qualifying block. Returns `None` — zeroing
-    /// the entry — when a thief emptied the level since the mirror last
-    /// saw it.
-    ///
-    /// # Safety
-    /// Caller must be the owner, and `entry` must be this deque's mirror
-    /// entry for `level`.
-    unsafe fn consume_full_level(
-        &self,
-        level: usize,
-        entry: &mut (usize, usize),
-        merges: &mut u64,
-    ) -> Option<TaskBlock<S>> {
-        let before = *entry;
-        let slot = self.slot(level)?;
-        let Some(mut cell) = Self::detach(slot) else {
-            // A thief emptied the level since the mirror last saw it.
-            *entry = (0, 0);
-            // SAFETY: owner operation per the caller contract.
-            unsafe { self.note_mirror_change(level, before, (0, 0)) };
-            return None;
-        };
-        // Consume the level: physically merge its two blocks now.
-        let (store, removed_blocks) = match (cell.dfe.take(), cell.restart.take()) {
-            (Some(d), Some(mut r)) => {
-                let mut d = d;
-                r.append(&mut d);
-                *merges += 1;
-                (r, 2)
-            }
-            (Some(d), None) => (d, 1),
-            (None, Some(r)) => (r, 1),
-            (None, None) => unreachable!("mirror said level {level} was non-empty"),
-        };
-        *entry = (0, 0);
-        // SAFETY: owner operation per the caller contract.
-        unsafe { self.note_mirror_change(level, before, (0, 0)) };
-        self.owner_account(occ(removed_blocks, store.len()), false);
-        // SAFETY: owner operation; cell fully drained above.
-        unsafe { self.cache_cell(cell) };
-        Some(TaskBlock::new(level, store))
-    }
-
-    /// Steal the shallowest occupied level — both its blocks — with one
-    /// atomic exchange. The preferred block (the DFE block if it has at
-    /// least `prefer_at_least` tasks or at least as many as the restart
-    /// block, else the restart block) comes back as
-    /// [`StolenLevel::primary`]; the other block, if present, as
+    /// Steal the shallowest occupied level — both its blocks. The preferred
+    /// block (the DFE block if it has at least `prefer_at_least` tasks or
+    /// at least as many as the restart block, else the restart block) comes
+    /// back as [`StolenLevel::primary`]; the other block, if present, as
     /// [`StolenLevel::leftover`] for the thief to re-park on its own deque.
-    /// Callable by any thread.
+    /// `None` when the deque is empty or its lock is held.
     pub fn steal_half(&self, prefer_at_least: usize) -> Option<StolenLevel<S>> {
-        // Acquire on `deepest`: not load-bearing for safety (a stale bound
-        // only hides the newest levels, and a thief may always fail), but
-        // it keeps the bound fresh relative to the cells we can see.
-        let deepest = self.deepest.load(Ordering::Acquire);
-        for seg_idx in 0..=deepest / SEG_LEN {
-            // Whole segment absent ⇒ its SEG_LEN levels are empty.
-            let seg = self.spine[seg_idx].load(Ordering::Acquire);
-            if seg.is_null() {
-                continue;
-            }
-            let base = seg_idx * SEG_LEN;
-            for off in 0..SEG_LEN.min(deepest - base + 1) {
-                // SAFETY: non-null segments live until the deque drops.
-                let slot = unsafe { &(*seg).slots[off] };
-                let Some(mut cell) = Self::detach(slot) else { continue };
-                self.thief_debit(&cell);
-                let dfe_len = cell.dfe.as_ref().map_or(0, TaskStore::len);
-                let restart_len = cell.restart.as_ref().map_or(0, TaskStore::len);
-                let (primary, leftover) = if dfe_len >= prefer_at_least || dfe_len >= restart_len {
-                    (cell.dfe.take().or_else(|| cell.restart.take()), cell.restart.take())
-                } else {
-                    (cell.restart.take().or_else(|| cell.dfe.take()), cell.dfe.take())
-                };
-                let primary = primary.expect("detached cells hold at least one block");
-                return Some(StolenLevel {
-                    primary: TaskBlock::new(base + off, primary),
-                    leftover: leftover.map(|s| TaskBlock::new(base + off, s)),
-                });
-            }
-        }
-        None
-    }
-
-    /// Record a thief's removal (the only multi-writer counter update).
-    fn thief_debit(&self, cell: &LevelCell<S>) {
-        self.thief_taken.fetch_add(occ(cell.blocks(), cell.tasks()), Ordering::Relaxed);
-    }
-}
-
-impl<S> Drop for SharedLeveledDeque<S> {
-    fn drop(&mut self) {
-        // `&mut self`: no concurrent handles remain; free cells + segments.
-        for spine_slot in self.spine.iter() {
-            let seg = spine_slot.load(Ordering::Relaxed);
-            if seg.is_null() {
-                continue;
-            }
-            // SAFETY: exclusive access; pointers were Box::into_raw'd.
-            unsafe {
-                for slot in &(*seg).slots {
-                    let p = slot.load(Ordering::Relaxed);
-                    if !p.is_null() {
-                        drop(Box::from_raw(p));
-                    }
-                }
-                drop(Box::from_raw(seg));
-            }
-        }
+        let (level, mut slot) = match self.inner.try_lock() {
+            Ok(mut d) => d.take_shallowest()?,
+            Err(TryLockError::Poisoned(p)) => p.into_inner().take_shallowest()?,
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        let dfe_len = slot.dfe.as_ref().map_or(0, TaskStore::len);
+        let restart_len = slot.restart.as_ref().map_or(0, TaskStore::len);
+        let (primary, leftover) = if dfe_len >= prefer_at_least || dfe_len >= restart_len {
+            (slot.dfe.take().or_else(|| slot.restart.take()), slot.restart.take())
+        } else {
+            (slot.restart.take().or_else(|| slot.dfe.take()), slot.dfe.take())
+        };
+        let primary = primary.expect("an occupied level holds at least one block");
+        Some(StolenLevel {
+            primary: TaskBlock::new(level, primary),
+            leftover: leftover.map(|s| TaskBlock::new(level, s)),
+        })
     }
 }
 
 #[cfg(test)]
 mod shared_tests {
+    use std::sync::atomic::Ordering;
+
     use super::*;
 
     fn blk(level: usize, n: usize) -> TaskBlock<Vec<u32>> {
@@ -1227,13 +663,13 @@ mod shared_tests {
     }
 
     #[test]
-    fn deep_levels_allocate_segments_lazily() {
+    fn deep_levels_are_scanned_and_stolen() {
         let d: SharedLeveledDeque<Vec<u32>> = SharedLeveledDeque::new();
         d.push_dfe(blk(0, 1));
-        d.push_dfe(blk(SEG_LEN * 3 + 7, 2));
+        d.push_dfe(blk(64 * 3 + 7, 2));
         let mut merges = 0;
         let got = d.find_restart_full(2, &mut merges).unwrap();
-        assert_eq!(got.level, SEG_LEN * 3 + 7, "deepest qualifying level wins");
+        assert_eq!(got.level, 64 * 3 + 7, "deepest qualifying level wins");
         let loot = d.steal_half(2).unwrap();
         assert_eq!(loot.primary.level, 0);
         assert!(d.is_empty());

@@ -31,7 +31,9 @@
 //! `t_dfe`/`t_bfe`/`t_restart` cutoffs entirely. One sequential engine
 //! runs every policy; the [`par`] module takes it multicore by splitting
 //! its frontier whenever a work-stealing thief is hungry, plus the §3.4
-//! reference scheduler the theory analyses.
+//! reference scheduler the theory analyses, whose workers steal whole levels
+//! from each other's [`SharedLeveledDeque`]s — the engine's
+//! [`LeveledDeque`] behind a lock.
 //!
 //! ## Plugging in a program
 //!

@@ -10,14 +10,15 @@
 //! The paper implements the *simplified* variant on Cilk because exposing
 //! restart blocks for stealing "does not naturally map to Cilk-like
 //! programming models"; since we own the runtime, we also build the ideal
-//! variant on dedicated threads. Since PR 2 the per-worker deques are
-//! [`SharedLeveledDeque`]s — entirely lock-free: the owner parks and scans
-//! by detaching level cells with atomic exchanges, and thieves take a whole
-//! level (the steal-half unit: execute the preferred ⌈half⌉ of its blocks,
-//! re-park the rest on their own deque) with a single exchange. No mutex
-//! exists anywhere on the push/pop/steal path. Termination is a global
-//! live-task counter: it starts at the root count, every block execution
-//! adds `children - executed`, and zero means done.
+//! variant on dedicated threads. The per-worker deques are
+//! [`SharedLeveledDeque`]s — the engine's `LeveledDeque` behind a mutex:
+//! the owner locks once per block it parks or assembles, and a thief
+//! `try_lock`s its victim once per probe, taking a whole level (the
+//! steal-half unit: execute the preferred ⌈half⌉ of its blocks, re-park the
+//! rest on its own deque) or giving up if the owner holds the lock.
+//! Termination is a global live-task counter: it starts at the root count,
+//! every block execution adds `children - executed`, and zero means done.
+//! A panicking worker stops the others, and `run` re-raises its panic.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 
@@ -31,7 +32,7 @@ use crate::stats::ExecStats;
 /// actions", §3.4) when the config does not specify one.
 const DEFAULT_BFE_BURST: usize = 4;
 
-/// Multicore restart scheduler with per-worker lock-free leveled deques.
+/// Multicore restart scheduler with per-worker shared leveled deques.
 pub struct ParRestartIdeal<'p, P: BlockProgram> {
     prog: &'p P,
     cfg: SchedConfig,
@@ -61,9 +62,7 @@ impl<'p, P: BlockProgram> ParRestartIdeal<'p, P> {
             return RunOutput { reducer: self.prog.make_reducer(), stats };
         }
 
-        // Seed the deques: strips of the root, round-robin. Owner ops from
-        // the driver thread are fine — the spawn below establishes the
-        // happens-before edge to each deque's worker.
+        // Seed the deques: strips of the root, round-robin.
         let deques: Vec<SharedLeveledDeque<P::Store>> = (0..n).map(|_| SharedLeveledDeque::new()).collect();
         let strip = self.cfg.t_dfe.max(1);
         let mut w = 0usize;
@@ -79,15 +78,22 @@ impl<'p, P: BlockProgram> ParRestartIdeal<'p, P> {
 
         let shared = SharedState { deques, live: AtomicI64::new(total), done: AtomicBool::new(false) };
 
-        let mut outputs: Vec<(P::Reducer, ExecStats)> = std::thread::scope(|s| {
+        let joined: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..n)
                 .map(|i| {
                     let shared = &shared;
-                    s.spawn(move || Worker::new(self.prog, self.cfg, shared, i, n).run())
+                    s.spawn(move || {
+                        let _stop = StopOnPanic(&shared.done);
+                        Worker::new(self.prog, self.cfg, shared, i, n).run()
+                    })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+            handles.into_iter().map(|h| h.join()).collect()
         });
+        let mut outputs: Vec<(P::Reducer, ExecStats)> = joined
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect();
 
         debug_assert_eq!(shared.live.load(Ordering::SeqCst), 0, "live counter must drain to zero");
         let mut red = self.prog.make_reducer();
@@ -122,6 +128,19 @@ struct SharedState<S> {
     deques: Vec<SharedLeveledDeque<S>>,
     live: AtomicI64,
     done: AtomicBool,
+}
+
+/// Raises `done` when its worker unwinds: the panicking worker's tasks are
+/// lost, so the live counter would never reach zero and the other workers
+/// would spin forever.
+struct StopOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
+        }
+    }
 }
 
 struct Worker<'e, P: BlockProgram> {
@@ -163,20 +182,15 @@ impl<'e, P: BlockProgram> Worker<'e, P> {
         let mut idle = 0u32;
         while !self.shared.done.load(Ordering::Acquire) {
             // 1. Try to assemble a full block from our own deque (owner
-            //    merge-scan; lock-free detach/republish per level).
+            //    merge-scan).
             let mine = self.mine().find_restart_full(self.cfg.t_restart, &mut self.stats.merges);
             if let Some(b) = mine {
-                // The restart trigger: the owner merge-scan assembled a
-                // full block below the frontier.
-                if self.cfg.trace {
-                    tb_obs::record(tb_obs::EventKind::Restart, b.level as u32, b.len() as u64);
-                }
                 self.descend(b);
                 idle = 0;
                 continue;
             }
             // 2. Steal: random victim, self included (§3.4: "the victim
-            //    could be the thief itself"). One atomic exchange takes the
+            //    could be the thief itself"). One steal takes the
             //    victim's whole top level; we act on the preferred block
             //    and re-park the other half on our own deque.
             self.stats.steal_attempts += 1;
@@ -284,10 +298,7 @@ impl<'e, P: BlockProgram> Worker<'e, P> {
                 return;
             }
             if cur.len() < self.cfg.t_restart {
-                if self.mine().push_restart(cur) {
-                    self.stats.merges += 1;
-                }
-                self.observe_mine();
+                self.park_underfull(cur);
                 return;
             }
             let mut children = self.expand(cur, false);
@@ -297,9 +308,9 @@ impl<'e, P: BlockProgram> Worker<'e, P> {
             let mut rest = children.split_off(1);
             if !rest.is_empty() {
                 // The right-hand siblings all sit at the same level: merge
-                // them locally first so parking costs one publish instead
-                // of `arity - 1` (same final deque state — the deque would
-                // have merged them anyway, one lock-free op at a time).
+                // them locally first so parking costs one lock instead of
+                // `arity - 1` (same final deque state — the deque would have
+                // merged them anyway, one push at a time).
                 let mut parked = rest.swap_remove(0);
                 for mut c in rest {
                     parked.merge(&mut c);
@@ -345,11 +356,22 @@ impl<'e, P: BlockProgram> Worker<'e, P> {
         if cur.len() >= self.cfg.t_restart {
             self.descend(cur);
         } else {
-            if self.mine().push_restart(cur) {
-                self.stats.merges += 1;
-            }
-            self.observe_mine();
+            self.park_underfull(cur);
         }
+    }
+
+    /// The restart action: park an underfull block as a restart block for
+    /// a later merge-scan (or a thief) to assemble with its level. Counted
+    /// and traced as the sequential engine counts and traces its restarts.
+    fn park_underfull(&mut self, block: TaskBlock<P::Store>) {
+        self.stats.restart_actions += 1;
+        if self.cfg.trace {
+            tb_obs::record(tb_obs::EventKind::Restart, block.level as u32, block.len() as u64);
+        }
+        if self.mine().push_restart(block) {
+            self.stats.merges += 1;
+        }
+        self.observe_mine();
     }
 }
 
@@ -442,7 +464,7 @@ mod tests {
     #[test]
     fn repeated_runs_are_deterministic_in_outcome() {
         // The schedule varies run to run (racy steals), the reduction must
-        // not. Exercises the lock-free deque under real contention.
+        // not. Exercises the shared deques under real contention.
         let prog = Fib(23);
         let cfg = SchedConfig::restart(4, 64, 16);
         let expected = SeqScheduler::new(&prog, cfg).run();

@@ -100,7 +100,8 @@ pub struct SchedConfig {
     /// Number of consecutive BFE actions a restart scheduler performs on a
     /// too-small top block before rescanning ("a constant number of BFE
     /// actions", §3.4). Sequentially this bounds a BFE burst; 0 means
-    /// "until `t_restart` is reached".
+    /// "until `t_restart` is reached" on the sequential engine (and so on
+    /// `Par`), but 4 (`DEFAULT_BFE_BURST`) under `ParRestartIdeal`.
     pub restart_bfe_burst: usize,
     /// Record scheduler-seam events (superstep boundaries, restart
     /// triggers, park/resume) into `tb-obs` rings. Default off; even when

@@ -187,7 +187,7 @@ pub fn run_policy<P: BlockProgram>(
 ///
 /// All three implementations agree on the reduction; under restart you
 /// can choose between the pool-resident engine that splits on demand and
-/// the §3.4 ideal scheduler (lock-free stealable leveled deques) the
+/// the §3.4 ideal scheduler (locked, stealable leveled deques) the
 /// theory analyses:
 ///
 /// ```
@@ -402,6 +402,57 @@ mod tests {
         assert_eq!(label(SchedConfig::reexpansion(4, 64)), "par-reexp");
         assert_eq!(label(SchedConfig::restart(4, 64, 16)), "par-restart");
         assert_eq!(label(SchedConfig::adaptive(4)), "par-adaptive");
+    }
+
+    /// fib(18) whose single `n == 17` task panics.
+    struct PanicsAt17;
+
+    impl BlockProgram for PanicsAt17 {
+        type Store = Vec<u32>;
+        type Reducer = u64;
+
+        fn arity(&self) -> usize {
+            2
+        }
+
+        fn make_root(&self) -> Vec<u32> {
+            vec![18]
+        }
+
+        fn make_reducer(&self) -> u64 {
+            0
+        }
+
+        fn merge_reducers(&self, a: &mut u64, b: u64) {
+            *a += b;
+        }
+
+        fn expand(&self, block: &mut Vec<u32>, out: &mut BucketSet<Vec<u32>>, red: &mut u64) {
+            if block.contains(&17) {
+                panic!("task 17 failed");
+            }
+            Fib(0).expand(block, out, red);
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_propagates_instead_of_hanging() {
+        for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let cfg = SchedConfig::restart(4, 64, 16);
+                let run = std::panic::catch_unwind(|| run_scheduler_on(kind, &PanicsAt17, cfg, 2));
+                let _ = tx.send(run.err().and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string())));
+            });
+            let payload = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{kind:?}: the run hung after a task panicked"));
+            assert_eq!(
+                payload.as_deref(),
+                Some("task 17 failed"),
+                "{kind:?}: the original panic is re-raised"
+            );
+        }
     }
 
     #[test]

@@ -25,8 +25,9 @@ pub enum EventKind {
     /// A scheduler superstep boundary. `arg0` = level, `arg` = tasks
     /// executed in the superstep.
     Superstep = 5,
-    /// The restart policy fired (`find_restart_full` found a full block
-    /// below the frontier). `arg0` = level, `arg` = tasks in the block.
+    /// A restart action: an underfull block was parked on the deque before
+    /// a rescan — one per `ExecStats::restart_actions`. `arg0` = level,
+    /// `arg` = tasks in the parked block.
     Restart = 6,
     /// A preemptible job parked at a superstep boundary (`arg` = job id),
     /// or an engine parked or split off a frontier (`arg` = its tasks).

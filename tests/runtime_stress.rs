@@ -1,11 +1,11 @@
 //! Stress tests for the work-stealing runtime substrate: deep nesting,
-//! wide fan-out, repeated pool churn, split-on-demand storms, and — since
-//! PR 2 — randomized owner-vs-thieves torture of the lock-free deques
-//! (the Chase–Lev job deque and the shared leveled block deque). These
+//! wide fan-out, repeated pool churn, split-on-demand storms, and
+//! randomized owner-vs-thieves torture of the deques (the lock-free
+//! Chase–Lev job deque and the locked shared leveled block deque). These
 //! are the conditions Cilk's THE protocol is hardened against; ours must
 //! survive them too.
 //!
-//! The lock-free tests are conservation arguments: every pushed token is
+//! The deque tests are conservation arguments: every pushed token is
 //! accounted exactly once across owner pops and thief steals (a lost CAS
 //! that still delivered its element, an ABA'd slot, or a double-material-
 //! ized speculative copy would all break the sum or the count). Run them

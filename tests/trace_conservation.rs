@@ -14,8 +14,11 @@
 //! * seq + parallel: `sum(Superstep.arg)` == `ExecStats.tasks_executed`.
 //!   Every scheduler records exactly one `Superstep` per executed block,
 //!   carrying the block's task count, at the same place it calls
-//!   `account_block` — and `Restart` events carry re-anchored (not
-//!   executed) blocks, so they are deliberately excluded from the sum.
+//!   `account_block` — and `Restart` events carry parked (not executed)
+//!   blocks, so they are deliberately excluded from the sum.
+//! * seq + parallel: `count(Restart)` == `ExecStats.restart_actions`. Every
+//!   scheduler records one `Restart` where it counts one restart action:
+//!   an underfull block parked on the deque before a rescan.
 //! * pool: `count(StealHit) + count(InjectorPop)` == the `steals` delta of
 //!   `PoolMetrics::since`, exactly. Hits can only happen while the run's
 //!   jobs exist, so the counter is stable on both edges of the window.
@@ -146,6 +149,12 @@ fn traced_runs_reconcile_with_scheduler_counters() {
         "seq: one Superstep per executed block, arg = its task count"
     );
     assert_eq!(count(&tracks, EventKind::StealHit), 0, "no pool exists in phase A");
+    assert!(out.stats.restart_actions > 0, "fib(20) under restart parks underfull blocks");
+    assert_eq!(
+        count(&tracks, EventKind::Restart),
+        out.stats.restart_actions,
+        "seq: one Restart per restart action"
+    );
 
     // Same invariant through the spec pipeline: `CompiledSpec::expand`
     // brackets every block in TierBegin/TierEnd, with TierBegin carrying
@@ -183,6 +192,12 @@ fn traced_runs_reconcile_with_scheduler_counters() {
     );
     assert_eq!(count(&tracks, EventKind::InjectorPush), delta.injector_pushes);
     assert_eq!(sum_args(&tracks, EventKind::Superstep), out.stats.tasks_executed);
+    assert!(out.stats.restart_actions > 0, "the §3.4 scheduler parks underfull blocks too");
+    assert_eq!(
+        count(&tracks, EventKind::Restart),
+        out.stats.restart_actions,
+        "RestartIdeal: one Restart per restart action, as on the engine"
+    );
     // Bracketed, not slack-matched — see the module docs for the bound.
     let attempts = count(&tracks, EventKind::StealAttempt);
     assert!(attempts >= hits + pops, "every hit came from a recorded sweep");
@@ -214,6 +229,7 @@ fn traced_runs_reconcile_with_scheduler_counters() {
             let tracks = tb_obs::drain_all();
             let delta = pool.metrics().since(&before);
             assert_eq!(sum_args(&tracks, EventKind::Superstep), out.stats.tasks_executed, "{what}");
+            assert_eq!(count(&tracks, EventKind::Restart), out.stats.restart_actions, "{what}");
             let splits = count(&tracks, EventKind::Park);
             assert!(splits >= 1, "{what}: workers sat hungry and the job never split");
             assert_eq!(
