@@ -1,7 +1,9 @@
 //! Validates the §4 theory empirically: measured SIMD step counts for the
 //! three sequential strategies across tree shapes and block sizes,
 //! compared against the Theorem 1–3 closed forms, plus the parallel
-//! restart steal bound of Theorem 4 (Lemma 7: `E[S] = O(kPh)`).
+//! restart steal bound of Theorem 4 (Lemma 7: `E[S] = O(kPh)`) for the
+//! ideal scheduler, with the split counts and step ratio of the pool
+//! scheduler that runs (`ParSplit` under restart) on the same tree.
 
 use tb_bench::{HarnessArgs, TableSink};
 use tb_core::prelude::*;
@@ -63,21 +65,31 @@ fn main() {
     );
 
     // Theorem 4 / Lemma 7: steal attempts for parallel restart scale like
-    // O(k·P·h).
-    println!("\nParallel restart steal bound (ideal scheduler, Lemma 7: E[S] = O(kPh)):");
+    // O(k·P·h). Beside each ideal row, the pool scheduler that actually runs
+    // (ParSplit under restart) on the same tree: its splits play the
+    // steals' part, and §2.1 argues each split costs at most one underfull
+    // tail per level, so its steps should stay within optimal + splits·h.
+    // Counts, not times, so the rows hold on an oversubscribed host too.
+    println!(
+        "\nParallel restart: the ideal scheduler's steal bound (Lemma 7: E[S] = O(kPh)) beside\n\
+         ParSplit(restart)'s splits and its steps against optimal_bound + splits·h:"
+    );
     let tree = CompTree::random_binary(100_000, 0.75, 3);
-    let h = tree.height() as f64;
+    let (n, h) = (tree.len() as f64, tree.height() as f64);
     for p in [2usize, 4, 8] {
         for k in [2usize, 16] {
             let walk = TreeWalk::new(&tree);
             let cfg = SchedConfig::restart(Q, k * Q, k * Q);
-            let out = run_scheduler_on(SchedulerKind::RestartIdeal, &walk, cfg, p);
-            let bound = k as f64 * p as f64 * h;
+            let ideal = run_scheduler_on(SchedulerKind::RestartIdeal, &walk, cfg, p);
+            let split = run_scheduler_on(SchedulerKind::Par, &walk, cfg, p);
+            let kph = k as f64 * p as f64 * h;
+            let splits = split.stats.splits;
             println!(
-                "  P={p} k={k:<3} steal_attempts={:<8} kPh={:<10.0} ratio={:.3}",
-                out.stats.steal_attempts,
-                bound,
-                out.stats.steal_attempts as f64 / bound
+                "  P={p} k={k:<3} kPh={kph:<8.0} ideal steal_attempts/kPh={:.3} | \
+                 ParSplit(restart) splits={splits:<5} splits/kPh={:.4} simd_steps/(opt+splits·h)={:.3}",
+                ideal.stats.steal_attempts as f64 / kph,
+                splits as f64 / kph,
+                split.stats.simd_steps as f64 / (optimal_bound(n, h, Q as f64) + splits as f64 * h)
             );
         }
     }

@@ -272,6 +272,19 @@ impl<S: TaskStore> LeveledDeque<S> {
         Some(split)
     }
 
+    /// Move every block of `other` in at its own level through
+    /// [`push_dfe`](Self::push_dfe), so no level ever holds more than two
+    /// blocks. Returns the merges that took.
+    pub(crate) fn absorb(&mut self, other: LeveledDeque<S>) -> u64 {
+        let mut merges = 0;
+        for (level, slot) in other.levels.into_iter().enumerate() {
+            for store in [slot.dfe, slot.restart].into_iter().flatten() {
+                merges += u64::from(self.push_dfe(TaskBlock::new(level, store)));
+            }
+        }
+        merges
+    }
+
     /// Iterate over `(level, slot)` pairs for inspection (tests, invariant
     /// checks, space accounting).
     pub fn iter_levels(&self) -> impl Iterator<Item = (usize, &LevelSlot<S>)> {
@@ -387,6 +400,20 @@ mod tests {
         assert_eq!(b.len(), 7);
         assert!(d.is_empty());
         assert!(d.take_level(2).is_none());
+    }
+
+    #[test]
+    fn absorb_keeps_two_blocks_per_level() {
+        let mut d: LeveledDeque<Vec<u32>> = LeveledDeque::new();
+        d.push_dfe(blk(2, 3));
+        d.push_restart(blk(2, 1));
+        let mut other: LeveledDeque<Vec<u32>> = LeveledDeque::new();
+        other.push_dfe(blk(2, 4));
+        other.push_restart(blk(2, 2));
+        other.push_restart(blk(5, 6));
+        assert_eq!(d.absorb(other), 2, "both level-2 blocks merge into the dfe slot");
+        assert_eq!((d.block_count(), d.task_count()), (3, 16));
+        d.assert_restart_invariants(8);
     }
 
     #[test]

@@ -30,7 +30,10 @@
 //! [`GrainController`]) that replaces the hand-tuned
 //! `t_dfe`/`t_bfe`/`t_restart` cutoffs entirely. One sequential engine
 //! runs every policy; the [`par`] module takes it multicore by splitting
-//! its frontier whenever a work-stealing thief is hungry, plus the §3.4
+//! its frontier whenever a work-stealing thief is hungry — through
+//! [`drive`], the one superstep seam, which also stops a run whose
+//! [`CancelToken`] fired and parks one whose preempt flag is set — plus
+//! the §3.4
 //! reference scheduler the theory analyses, whose workers steal whole levels
 //! from each other's [`SharedLeveledDeque`]s — the engine's
 //! [`LeveledDeque`] behind a lock.
@@ -88,28 +91,23 @@ pub mod seq;
 pub mod stats;
 
 pub use block::{TaskBlock, TaskStore};
-pub use cancel::{CancelToken, Cancellable};
+pub use cancel::CancelToken;
 pub use deque::{LeveledDeque, RestartFind, SharedLeveledDeque, StolenLevel};
+pub use par::{drive, Outcome, Seam};
 pub use policy::{GrainController, PolicyKind, SchedConfig};
 pub use program::{merge_sum, BlockProgram, BucketSet, ProgramShape, RunOutput};
-pub use scheduler::{
-    run_policy, run_policy_on_ctx, run_scheduler, run_scheduler_on, run_scheduler_on_ctx, Scheduler,
-    SchedulerKind,
-};
+pub use scheduler::{run_policy, run_scheduler, run_scheduler_on, Scheduler, SchedulerKind};
 pub use seq::{run_depth_first, SeqFrontier, SeqScheduler, StepEvent};
 pub use stats::ExecStats;
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
     pub use crate::block::{TaskBlock, TaskStore};
-    pub use crate::cancel::{CancelToken, Cancellable};
-    pub use crate::par::{ParRestartIdeal, ParSplit};
+    pub use crate::cancel::CancelToken;
+    pub use crate::par::{drive, Outcome, ParRestartIdeal, ParSplit, Seam};
     pub use crate::policy::{GrainController, PolicyKind, SchedConfig};
     pub use crate::program::{merge_sum, BlockProgram, BucketSet, ProgramShape, RunOutput};
-    pub use crate::scheduler::{
-        run_policy, run_policy_on_ctx, run_scheduler, run_scheduler_on, run_scheduler_on_ctx, Scheduler,
-        SchedulerKind,
-    };
+    pub use crate::scheduler::{run_policy, run_scheduler, run_scheduler_on, Scheduler, SchedulerKind};
     pub use crate::seq::{run_depth_first, SeqFrontier, SeqScheduler, StepEvent};
     pub use crate::stats::ExecStats;
 }

@@ -24,7 +24,7 @@
 //! types is reserved for scheduler-specific unit tests (e.g. tests that
 //! drive [`SeqScheduler::step`] one event at a time).
 
-use tb_runtime::{ThreadPool, WorkerCtx};
+use tb_runtime::ThreadPool;
 
 use crate::par::{ParRestartIdeal, ParSplit};
 use crate::policy::SchedConfig;
@@ -236,46 +236,6 @@ pub fn run_scheduler<P: BlockProgram>(
             ParRestartIdeal::new(prog, cfg, workers).run_with(pool)
         }
     }
-}
-
-/// Like [`run_scheduler`], but driven from *inside* the pool: `ctx` is the
-/// context of the worker executing the current job. This is the service
-/// layer's entry point — `ThreadPool::install` must not be called from a
-/// worker, so a job that wants to run a whole scheduler (a submitted
-/// `tb-service` job) comes through here instead. Splits fan out across
-/// the pool exactly as under [`run_scheduler`], and many such runs can
-/// coexist on one pool.
-///
-/// Kind mapping from inside the pool:
-///
-/// * [`SchedulerKind::Seq`] runs inline on this worker (it never forks);
-/// * [`SchedulerKind::Par`] runs as a sequential engine on this worker
-///   and forks only when another worker is hungry;
-/// * [`SchedulerKind::RestartIdeal`] keeps its §3.4 semantics: it runs on
-///   its *own dedicated threads* (sized to this pool), with the submitting
-///   worker blocked driving them — correct, but it oversubscribes the
-///   machine, so pool-resident kinds are the better default for services.
-pub fn run_scheduler_on_ctx<P: BlockProgram>(
-    kind: SchedulerKind,
-    prog: &P,
-    cfg: SchedConfig,
-    ctx: &WorkerCtx<'_>,
-) -> RunOutput<P::Reducer> {
-    match kind {
-        SchedulerKind::Seq => SeqScheduler::new(prog, cfg).run(),
-        SchedulerKind::Par => ParSplit::new(prog, cfg).run_on(ctx),
-        SchedulerKind::RestartIdeal => ParRestartIdeal::new(prog, cfg, ctx.num_workers()).run(),
-    }
-}
-
-/// [`run_policy`]'s in-pool counterpart: run [`SchedulerKind::Par`] under
-/// `cfg.policy` on the executing worker's pool via [`run_scheduler_on_ctx`].
-pub fn run_policy_on_ctx<P: BlockProgram>(
-    prog: &P,
-    cfg: SchedConfig,
-    ctx: &WorkerCtx<'_>,
-) -> RunOutput<P::Reducer> {
-    run_scheduler_on_ctx(SchedulerKind::Par, prog, cfg, ctx)
 }
 
 /// Like [`run_scheduler`], but parameterised by a worker *count* instead of

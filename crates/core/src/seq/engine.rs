@@ -68,12 +68,13 @@ enum Mode {
 /// remainder, the partial reducer, statistics, and the policy latches), so
 /// a frontier is `Send` whenever the store and reducer are — it can be
 /// parked on one thread and resumed on another. This is the preemption
-/// seam the service layer's admission scheduler swaps jobs out on: a
-/// preemptible job parks at its next superstep boundary via
-/// [`SeqScheduler::park`] and is later reconstructed with
+/// seam the service layer's admission scheduler swaps jobs out on: the
+/// pool driver ([`drive`](crate::par::drive)) parks a preempted run at
+/// its next superstep boundary via [`SeqScheduler::park`], split pieces
+/// absorbed first, and the run is later reconstructed with
 /// [`SeqScheduler::resume`], producing bit-identical results to an
-/// uninterrupted run (the engine's decision function depends only on this
-/// state).
+/// uninterrupted run (the engine's decision function depends only on
+/// this state).
 ///
 /// The spawn buckets are deliberately *not* part of the frontier: between
 /// `step` calls they are always empty (every action drains them), so
@@ -277,10 +278,38 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
             stats: ExecStats::new(self.cfg.q),
             done: false,
         };
+        self.stats.splits += 1;
         if self.cfg.trace {
             tb_obs::record(EventKind::Park, 0, frontier.tasks() as u64);
         }
         Some(frontier)
+    }
+
+    /// Take a split piece back in, at the seam where
+    /// [`split_off`](SeqScheduler::split_off) made it: merge its reducer
+    /// and statistics, append its root remainder, and push its deque blocks
+    /// and current block at their levels through
+    /// [`LeveledDeque::push_dfe`], so no level exceeds two blocks. This
+    /// engine keeps its own current block and policy latches; a finished
+    /// piece adds only its reduction. Records no trace event.
+    pub(crate) fn absorb(&mut self, piece: SeqScheduler<'p, P>) {
+        debug_assert!(self.out.is_empty() && piece.out.is_empty(), "absorb runs between steps");
+        self.prog.merge_reducers(&mut self.red, piece.red);
+        self.stats.absorb(&piece.stats);
+        self.stats.merges += self.deque.absorb(piece.deque);
+        if let Some(block) = piece.current {
+            self.stats.merges += u64::from(self.deque.push_dfe(block));
+        }
+        match (&mut self.root_rest, piece.root_rest) {
+            (Some(rest), Some(mut more)) => rest.append(&mut more),
+            (rest, more) => *rest = rest.take().or(more),
+        }
+        self.done &= self.current.is_none() && self.deque.is_empty() && self.root_rest.is_none();
+    }
+
+    /// The program this engine runs.
+    pub(crate) fn program(&self) -> &'p P {
+        self.prog
     }
 
     /// Has [`SeqScheduler::step`] reported `Done`?

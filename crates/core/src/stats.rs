@@ -49,6 +49,8 @@ pub struct ExecStats {
     pub steal_attempts: u64,
     /// Successful steals.
     pub steals: u64,
+    /// Frontiers split off to hungry thieves (one per `split_off`).
+    pub splits: u64,
     /// High-water mark of blocks parked on the deque(s).
     pub max_deque_blocks: u64,
     /// High-water mark of tasks parked on the deque(s) — the space bound of
@@ -151,6 +153,7 @@ impl ExecStats {
         self.merges += o.merges;
         self.steal_attempts += o.steal_attempts;
         self.steals += o.steals;
+        self.splits += o.splits;
         self.max_deque_blocks = self.max_deque_blocks.max(o.max_deque_blocks);
         self.max_deque_tasks = self.max_deque_tasks.max(o.max_deque_tasks);
         self.max_level = self.max_level.max(o.max_level);
@@ -204,12 +207,14 @@ mod tests {
         b.account_block(5, 2);
         b.observe_deque(7, 50);
         b.steal_attempts = 9;
+        b.splits = 2;
         a.absorb(&b);
         assert_eq!(a.tasks_executed, 13);
         assert_eq!(a.supersteps, 2);
         assert_eq!(a.max_deque_blocks, 7);
         assert_eq!(a.max_deque_tasks, 100);
         assert_eq!(a.steal_attempts, 9);
+        assert_eq!(a.splits, 2);
     }
 
     #[test]

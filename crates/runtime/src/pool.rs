@@ -287,24 +287,6 @@ impl<'a> WorkerCtx<'a> {
         self.index
     }
 
-    /// Number of workers in the pool.
-    #[inline]
-    pub fn num_workers(&self) -> usize {
-        self.shared.stealers.len()
-    }
-
-    /// Pool-wide `(steal_attempts, steals)` recorded so far, without
-    /// allocating (unlike [`ThreadPool::metrics`]).
-    ///
-    /// The counters are monotone but written with Relaxed stores, so a
-    /// snapshot is a conservative lower bound: a *differing* pair proves a
-    /// steal happened, while an *equal* pair does not prove the absence of
-    /// one (a just-completed steal's bump may not be visible yet). Use it
-    /// for statistics only.
-    pub fn steal_totals(&self) -> (u64, u64) {
-        self.shared.steal_totals()
-    }
-
     /// Is some worker idle with nothing to take? True when at least one
     /// worker is between jobs, the injector is empty (an idle worker drains
     /// it first) and this worker's own deque is empty (anything already

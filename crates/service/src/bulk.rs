@@ -75,7 +75,8 @@ impl<R> BulkHandle<R> {
     }
 
     /// Request cooperative cancellation of every chunk (running chunks
-    /// drain; chunks still queued complete immediately with
+    /// stop before their next superstep; chunks still queued complete
+    /// immediately with
     /// [`JobError::Cancelled`]).
     pub fn cancel(&self) {
         self.core.cancel.cancel();

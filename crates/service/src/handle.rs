@@ -83,8 +83,8 @@ impl<R> JobCore<R> {
 /// The handle is the *client's* end only — dropping it detaches the job
 /// (the run continues to completion and its backpressure slot is released
 /// normally); it does **not** cancel. Cancellation is explicit via
-/// [`JobHandle::cancel`] and cooperative: the run stops expanding within
-/// one block of wherever each worker is (see `tb_core::cancel`).
+/// [`JobHandle::cancel`] and cooperative: the run stops before the next
+/// superstep of each running piece (see `tb_core::cancel`).
 pub struct JobHandle<R> {
     core: Arc<JobCore<R>>,
 }

@@ -7,11 +7,14 @@
 //!
 //! * **job handles** — submit any [`BlockProgram`](tb_core::BlockProgram)
 //!   from any thread and get a [`JobHandle`] back: poll it, block on it, or
-//!   cancel it cooperatively (see `tb_core::cancel`);
+//!   cancel it cooperatively — the run stops before the next superstep of
+//!   each running piece (see `tb_core::cancel`);
 //! * **per-job scheduling** — every job carries its own
 //!   [`SchedConfig`](tb_core::SchedConfig) and
 //!   [`SchedulerKind`](tb_core::SchedulerKind), so basic, re-expansion and
-//!   restart jobs coexist on one pool;
+//!   restart jobs coexist on one pool. Every job runs through one driver,
+//!   [`tb_core::drive`], on the worker that picks it up: `Seq` jobs stay
+//!   there, `Par` jobs split whenever another worker is hungry;
 //! * **bulk submission** — [`Runtime::submit_bulk`] cuts an input slice
 //!   into adaptively sized chunks (per DCAFE: chunk size grows with queue
 //!   depth, never one-task-per-item flooding);
@@ -25,12 +28,13 @@
 //!   sheds (`try_submit_*`) its *own* oversubscribing clients; the pool's
 //!   *segmented unbounded* injector (`tb_runtime::injector`) guarantees
 //!   admitted submissions never spin-block;
-//! * **preemptible jobs** — [`Runtime::submit_preemptible`] work parks at
-//!   a superstep boundary when a higher-priority tenant needs its slot:
-//!   the job's frontier swaps out into a bounded park pool and resumes
-//!   later with bit-identical results (the paper's superstep structure is
-//!   the preemption seam — between supersteps the engine's entire state
-//!   is its frontier);
+//! * **preemptible jobs** — [`Runtime::submit_preemptible`] work splits on
+//!   demand and parks at a superstep boundary when a higher-priority
+//!   tenant needs its slot: every running piece stops, the pieces merge
+//!   into one frontier that swaps out into a bounded park pool, and it
+//!   resumes later with bit-identical results (the paper's superstep
+//!   structure is the preemption seam — between supersteps the engine's
+//!   entire state is its frontier);
 //! * **spec-source jobs** — [`Runtime::submit_spec_foreach_tier_as`]
 //!   accepts a program the service has never seen before as spec-language
 //!   *source text*: the

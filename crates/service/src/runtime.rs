@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tb_core::{
-    run_scheduler_on_ctx, BlockProgram, CancelToken, Cancellable, RunOutput, SchedConfig, SchedulerKind,
-    SeqFrontier, SeqScheduler,
+    drive, BlockProgram, CancelToken, Outcome, PolicyKind, SchedConfig, SchedulerKind, Seam, SeqFrontier,
+    SeqScheduler,
 };
 use tb_obs::EventKind;
 use tb_runtime::{InjectorMetrics, ThreadPool, WorkerCtx};
@@ -351,12 +351,14 @@ impl Runtime {
     /// run happens on the pool, admitted in the tenant's weight order
     /// within its priority class and strict priority order across classes.
     ///
-    /// Scheduler choice per job: [`SchedulerKind::Seq`] and
-    /// [`SchedulerKind::Par`] (under any policy) are pool-resident and
-    /// compose freely;
-    /// [`SchedulerKind::RestartIdeal`] spawns its own dedicated threads per
-    /// job (see `run_scheduler_on_ctx`) and is meant for measurement, not
-    /// service traffic.
+    /// Every job runs as one sequential engine on the worker that picks it
+    /// up, under `cfg`'s policy, and stops at its next superstep once its
+    /// handle is cancelled. `kind` says whether it may split:
+    /// [`SchedulerKind::Seq`] never splits; [`SchedulerKind::Par`] splits
+    /// half its pending work off whenever another worker is hungry;
+    /// [`SchedulerKind::RestartIdeal`] is `Par` under the restart policy
+    /// (the §3.4 reference scheduler's dedicated threads are a library
+    /// tool, not a service path).
     ///
     /// # Panics
     /// If `tenant` was never registered.
@@ -371,7 +373,7 @@ impl Runtime {
         P: BlockProgram + Send + 'static,
         P::Reducer: Send + 'static,
     {
-        admitted(self.enqueue_job(tenant, Mode::Block, prog, cfg, kind))
+        admitted(self.enqueue_job(tenant, Mode::Block, None, prog, cfg, kind))
     }
 
     /// Like [`Runtime::submit_as`], but sheds load instead of blocking:
@@ -391,21 +393,22 @@ impl Runtime {
         P: BlockProgram + Send + 'static,
         P::Reducer: Send + 'static,
     {
-        self.enqueue_job(tenant, Mode::Shed, prog, cfg, kind)
+        self.enqueue_job(tenant, Mode::Shed, None, prog, cfg, kind)
     }
 
-    /// Submit a *preemptible* job for `tenant`: the program runs under the
-    /// sequential stepping engine on one worker, and when a
-    /// higher-priority tenant needs the slot the scheduler asks it to park
-    /// at its next superstep boundary — its frontier moves into the
-    /// bounded park pool, the slot frees, and the job resumes later with
+    /// Submit a *preemptible* job for `tenant`: the program runs under
+    /// `cfg`'s policy and splits on demand like a [`SchedulerKind::Par`]
+    /// job, and when a higher-priority tenant needs the slot the scheduler
+    /// asks it to park — every running piece stops at its next superstep
+    /// boundary, the pieces merge into one frontier in the bounded park
+    /// pool, the slot frees, and the job resumes later with
     /// **bit-identical results** to an uninterrupted run (the park/resume
-    /// round-trip property; see `tests/preempt_equiv.rs`).
+    /// round-trip property; see `tests/preempt_equiv.rs` and
+    /// `tests/split_park.rs`).
     ///
     /// This is the submission path for batch work that should yield to
-    /// interactive traffic. Parallel scheduler jobs
-    /// ([`Runtime::submit_as`]) are never preempted — they occupy their
-    /// slot until completion.
+    /// interactive traffic. Jobs submitted through [`Runtime::submit_as`]
+    /// carry no preempt flag and occupy their slot until completion.
     ///
     /// # Panics
     /// If `tenant` was never registered.
@@ -415,26 +418,8 @@ impl Runtime {
         P::Store: Send + 'static,
         P::Reducer: Send + 'static,
     {
-        let core = Arc::new(JobCore::new());
-        let token = core.cancel_token();
         let flag: PreemptFlag = Arc::new(AtomicBool::new(false));
-        let (worker_core, driver_flag) = (Arc::clone(&core), Arc::clone(&flag));
-        let (adm, counters) = (Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
-        admitted(self.enqueue(tenant, Mode::Block, Some(flag), prog, move |id, prog| {
-            let run = PreemptibleRun {
-                prog: Cancellable::new(prog, token.clone()),
-                frontier: None,
-                cfg,
-                core: worker_core,
-                token,
-                flag: driver_flag,
-                adm,
-                counters,
-                id,
-            };
-            Box::new(move |ctx: &WorkerCtx<'_>| drive_preemptible(run, ctx))
-        }));
-        JobHandle::new(core)
+        admitted(self.enqueue_job(tenant, Mode::Block, Some(flag), prog, cfg, SchedulerKind::Par))
     }
 
     /// Submit a spec-language program *as source text* on behalf of
@@ -517,9 +502,9 @@ impl Runtime {
         };
         let lanes = tier.lane_width().max(1);
         let enqueued = match lanes {
-            1 => self.enqueue_job(tenant, mode, CompiledSpec::from_code(code, &calls), cfg, kind).ok(),
+            1 => self.enqueue_job(tenant, mode, None, CompiledSpec::from_code(code, &calls), cfg, kind).ok(),
             q => self
-                .enqueue_job(tenant, mode, VectorSpec::from_code_with_width(code, &calls, q), cfg, kind)
+                .enqueue_job(tenant, mode, None, VectorSpec::from_code_with_width(code, &calls, q), cfg, kind)
                 .ok(),
         };
         let Some(handle) = enqueued else { return Err(calls) };
@@ -604,16 +589,10 @@ impl Runtime {
         for index in 0..chunks {
             let rest = items.split_off(chunk_len.min(items.len()));
             let chunk = std::mem::replace(&mut items, rest);
-            let (core, token, make) = (Arc::clone(&core), token.clone(), Arc::clone(&make));
-            let (adm, counters) = (Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
+            let (core, make) = (Arc::clone(&core), Arc::clone(&make));
+            let job = self.job(token.clone(), None, cfg, kind, move |r| core.complete_chunk(index, r));
             admitted(self.enqueue(DEFAULT_TENANT, Mode::Block, None, chunk, move |id, chunk| {
-                Box::new(move |ctx: &WorkerCtx<'_>| {
-                    // The chunk-builder runs inside the catch too: a panic in
-                    // `make` must route to JobError::Panicked and free the
-                    // admission slot, not escape to the pool's backstop.
-                    let result = run_job(|| make(chunk), &token, cfg, kind, ctx);
-                    core.complete_chunk(index, retire(&adm, &counters, ctx, id, result));
-                })
+                Job { id, ..job }.start(move || make(chunk))
             }));
         }
         debug_assert!(items.is_empty(), "chunking consumed every item");
@@ -625,7 +604,7 @@ impl Runtime {
     /// spawn whatever the scheduler released. This is a *client* path — we
     /// hold no worker context — so released jobs go through the pool
     /// handle; worker-side completions use `WorkerCtx::spawn` instead (see
-    /// [`retire`]).
+    /// [`Job::retire`]).
     fn enqueue<T>(
         &self,
         tenant: TenantId,
@@ -640,11 +619,13 @@ impl Runtime {
         Ok(())
     }
 
-    /// Enqueue a non-preemptible scheduler job for `tenant`.
+    /// Enqueue a scheduler job for `tenant`; a `flag` makes it
+    /// preemptible.
     fn enqueue_job<P>(
         &self,
         tenant: TenantId,
         mode: Mode,
+        flag: Option<PreemptFlag>,
         prog: P,
         cfg: SchedConfig,
         kind: SchedulerKind,
@@ -654,16 +635,28 @@ impl Runtime {
         P::Reducer: Send + 'static,
     {
         let core = Arc::new(JobCore::new());
-        let token = core.cancel_token();
-        let (worker_core, adm, counters) =
-            (Arc::clone(&core), Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
-        self.enqueue(tenant, mode, None, prog, move |id, prog| {
-            Box::new(move |ctx: &WorkerCtx<'_>| {
-                let result = run_job(|| prog, &token, cfg, kind, ctx);
-                worker_core.complete(retire(&adm, &counters, ctx, id, result));
-            })
-        })?;
+        let worker_core = Arc::clone(&core);
+        let job = self.job(core.cancel_token(), flag.clone(), cfg, kind, move |r| worker_core.complete(r));
+        self.enqueue(tenant, mode, flag, prog, move |id, prog| Job { id, ..job }.start(move || prog))?;
         Ok(JobHandle::new(core))
+    }
+
+    /// A [`Job`] publishing through `publish`; its enqueue fills in the id.
+    fn job<F>(
+        &self,
+        token: CancelToken,
+        flag: Option<PreemptFlag>,
+        cfg: SchedConfig,
+        kind: SchedulerKind,
+        publish: F,
+    ) -> Job<F> {
+        let (cfg, split) = match kind {
+            SchedulerKind::Seq => (cfg, false),
+            SchedulerKind::Par => (cfg, true),
+            SchedulerKind::RestartIdeal => (cfg.with_policy(PolicyKind::Restart), true),
+        };
+        let (adm, counters) = (Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
+        Job { id: 0, cfg, split, token, flag, adm, counters, publish }
     }
 }
 
@@ -675,126 +668,93 @@ fn admitted<H, T>(enqueued: Result<H, T>) -> H {
     }
 }
 
-/// Run the program `make` builds under `kind` on this worker, containing
-/// a panic (in `make` too) as [`JobError::Panicked`] and reporting a run
-/// that drained after cancellation as [`JobError::Cancelled`].
-fn run_job<P: BlockProgram>(
-    make: impl FnOnce() -> P,
-    token: &CancelToken,
-    cfg: SchedConfig,
-    kind: SchedulerKind,
-    ctx: &WorkerCtx<'_>,
-) -> Result<P::Reducer, JobError> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let prog = Cancellable::new(make(), token.clone());
-        run_scheduler_on_ctx(kind, &prog, cfg, ctx)
-    }));
-    match outcome {
-        Ok(_) if token.is_cancelled() => Err(JobError::Cancelled),
-        Ok(out) => Ok(out.reducer),
-        Err(_) => Err(JobError::Panicked),
-    }
-}
-
-/// The one job epilogue, run by the worker that finished job `id`: take
-/// the job off the admission scheduler's books, spawn the follow-on jobs
-/// that released (through the worker, never a pool handle — see `Inner`),
-/// count the outcome, and return `result` for the caller to publish on its
-/// handle. The outcome counter moves after the books and publishing comes
-/// last, so whichever of the two a client waits on — a dropped handle
-/// leaves only [`Runtime::stats`] to poll — it finds the queues settled.
-fn retire<R>(
-    adm: &Admission,
-    counters: &Counters,
-    ctx: &WorkerCtx<'_>,
+/// One admitted job, whatever its program: its seam (config, split
+/// permission, cancel token, preempt flag if preemptible), the books it
+/// retires on, and where its result goes. The job and its program move
+/// into the continuation at every park, so a job's state lives either on
+/// the pool (while running) or in the park pool (while swapped out) —
+/// never both.
+struct Job<F> {
     id: JobId,
-    result: Result<R, JobError>,
-) -> Result<R, JobError> {
-    for job in adm.finished(id) {
-        ctx.spawn(job);
-    }
-    counters.finish(&result);
-    result
-}
-
-/// Everything a preemptible job carries between run segments: the program,
-/// the parked frontier (None before the first segment), and the handles it
-/// reports through. The whole struct moves into the continuation closure
-/// at every park, so a job's state lives either on a worker's stack (while
-/// running) or in the scheduler's park pool (while swapped out) — never
-/// both.
-struct PreemptibleRun<P: BlockProgram> {
-    prog: Cancellable<P>,
-    frontier: Option<SeqFrontier<P::Store, P::Reducer>>,
     cfg: SchedConfig,
-    core: Arc<JobCore<P::Reducer>>,
+    split: bool,
     token: CancelToken,
-    flag: PreemptFlag,
+    flag: Option<PreemptFlag>,
     adm: Arc<Admission>,
     counters: Arc<Counters>,
-    id: JobId,
+    publish: F,
 }
 
-/// How one run segment of a preemptible job ended.
-enum Segment<S, R> {
-    /// The program ran to completion (or drained after cancellation).
-    Done(RunOutput<R>),
-    /// The preempt flag fired: the engine parked at a superstep boundary.
-    Parked(SeqFrontier<S, R>),
-}
+impl<F> Job<F> {
+    /// The body the pool runs at `Start`: build the program on the worker
+    /// (a panic in `make`, such as a bulk chunk-builder's, is the job's
+    /// panic) and run it from the start.
+    fn start<P, M>(self, make: M) -> ReadyJob
+    where
+        P: BlockProgram + Send + 'static,
+        P::Reducer: Send + 'static,
+        M: FnOnce() -> P + Send + 'static,
+        F: FnOnce(Result<P::Reducer, JobError>) + Send + 'static,
+    {
+        Box::new(move |ctx: &WorkerCtx<'_>| match catch_unwind(AssertUnwindSafe(make)) {
+            Ok(prog) => self.run(prog, None, ctx),
+            Err(_) => self.retire(ctx, Err(JobError::Panicked)),
+        })
+    }
 
-/// Run one segment of a preemptible job on the current worker: step the
-/// sequential engine, checking the preempt flag **between supersteps** —
-/// the paper's superstep structure is what makes this seam exact, because
-/// between steps the engine's entire state is the frontier (deque + current
-/// block + reducer), with no half-expanded block in flight.
-fn drive_preemptible<P>(mut run: PreemptibleRun<P>, ctx: &WorkerCtx<'_>)
-where
-    P: BlockProgram + Send + 'static,
-    P::Store: Send + 'static,
-    P::Reducer: Send + 'static,
-{
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut sched = match run.frontier.take() {
-            Some(frontier) => SeqScheduler::resume(&run.prog, frontier),
-            None => SeqScheduler::new(&run.prog, run.cfg),
-        };
-        while !sched.is_done() {
-            // `swap` (not `load`) so a flag that fires while we are already
-            // parking is consumed, not left to preempt the resumed segment
-            // spuriously.
-            if run.flag.swap(false, Ordering::AcqRel) {
-                return Segment::Parked(sched.park());
+    /// The one job body, run from the start (`None`) or from a parked
+    /// frontier: [`drive`] the engine through the superstep seam, then
+    /// retire a finished, cancelled or panicked run, or hand a parked one
+    /// to the admission scheduler as its own continuation (which
+    /// `Action::Resume` spawns after clearing the preempt flag).
+    fn run<P>(self, prog: P, frontier: Option<SeqFrontier<P::Store, P::Reducer>>, ctx: &WorkerCtx<'_>)
+    where
+        P: BlockProgram + Send + 'static,
+        P::Reducer: Send + 'static,
+        F: FnOnce(Result<P::Reducer, JobError>) + Send + 'static,
+    {
+        let seam = Seam { cancel: Some(&self.token), preempt: self.flag.as_deref(), split: self.split };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let engine = match frontier {
+                Some(frontier) => SeqScheduler::resume(&prog, frontier),
+                None => SeqScheduler::new(&prog, self.cfg),
+            };
+            drive(engine, seam, ctx)
+        }));
+        match outcome {
+            Ok(Outcome::Done(out)) => self.retire(ctx, Ok(out.reducer)),
+            Ok(Outcome::Cancelled(_)) => self.retire(ctx, Err(JobError::Cancelled)),
+            Ok(Outcome::Parked(frontier)) => {
+                let (adm, id, tasks) = (Arc::clone(&self.adm), self.id, frontier.tasks());
+                // arg = job id so the exporter can pair this with the
+                // scheduler's Resume event into one cross-worker async span.
+                // Recorded *before* `adm.parked` — the matching Resume
+                // action cannot fire until the core learns of the park.
+                tb_obs::record(EventKind::Park, tasks as u32, id);
+                let cont: ReadyJob = Box::new(move |ctx: &WorkerCtx<'_>| self.run(prog, Some(frontier), ctx));
+                for job in adm.parked(id, tasks, cont) {
+                    ctx.spawn(job);
+                }
             }
-            sched.step();
+            Err(_) => self.retire(ctx, Err(JobError::Panicked)),
         }
-        Segment::Done(sched.into_output())
-    }));
-    let result = match outcome {
-        Ok(Segment::Parked(frontier)) => {
-            let tasks = frontier.tasks();
-            // arg = job id so the exporter can pair this with the
-            // scheduler's Resume event into one cross-worker async span.
-            // Recorded *before* `adm.parked` — the matching Resume action
-            // cannot fire until the core learns of the park.
-            tb_obs::record(EventKind::Park, tasks as u32, run.id);
-            run.frontier = Some(frontier);
-            let (adm, id) = (Arc::clone(&run.adm), run.id);
-            let cont: ReadyJob = Box::new(move |ctx: &WorkerCtx<'_>| drive_preemptible(run, ctx));
-            for job in adm.parked(id, tasks, cont) {
-                ctx.spawn(job);
-            }
-            return;
+    }
+
+    /// The one job epilogue, run by the worker that finished the job: take
+    /// it off the admission scheduler's books, spawn the follow-on jobs that
+    /// released (through the worker, never a pool handle — see `Inner`),
+    /// count the outcome, and publish `result`. The outcome counter moves
+    /// after the books and publishing comes last, so whichever of the two a
+    /// client waits on — a dropped handle leaves only [`Runtime::stats`] to
+    /// poll — it finds the queues settled.
+    fn retire<R>(self, ctx: &WorkerCtx<'_>, result: Result<R, JobError>)
+    where
+        F: FnOnce(Result<R, JobError>),
+    {
+        for job in self.adm.finished(self.id) {
+            ctx.spawn(job);
         }
-        Ok(Segment::Done(out)) => {
-            tb_obs::record(EventKind::JobDone, 0, run.id);
-            if run.token.is_cancelled() {
-                Err(JobError::Cancelled)
-            } else {
-                Ok(out.reducer)
-            }
-        }
-        Err(_) => Err(JobError::Panicked),
-    };
-    run.core.complete(retire(&run.adm, &run.counters, ctx, run.id, result));
+        self.counters.finish(&result);
+        (self.publish)(result);
+    }
 }

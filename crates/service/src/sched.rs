@@ -20,8 +20,9 @@
 //! * `Admission` — the thin threaded shell: a mutex around the core, a
 //!   condvar on that mutex where a submitter of a tenant at its
 //!   `max_pending` bound waits (a flooding tenant blocks *itself*, never
-//!   its neighbours), the stored job closures, and the preempt flags
-//!   running preemptible jobs poll at superstep boundaries. The bound
+//!   its neighbours), the stored job closures, and the preempt flags the
+//!   running pieces of preemptible jobs load at superstep boundaries (the
+//!   shell sets a flag at `Preempt` and clears it at `Resume`). The bound
 //!   itself is the core's own live count ([`SchedCore::has_room`]) — the
 //!   struct that owns waiting/running/parked also owns the limit; there
 //!   is no semaphore beside it.
@@ -46,8 +47,9 @@
 //! flooding heavy tenant to O(1) admissions instead of O(queue length).
 //!
 //! **Preemption is cooperative and exact.** A victim is asked to park via
-//! its preempt flag; it checks the flag between supersteps, parks its
-//! [`SeqFrontier`](tb_core::SeqFrontier) into the bounded park pool
+//! its preempt flag; every running piece of it checks the flag before its
+//! next superstep, the pieces merge into one
+//! [`SeqFrontier`](tb_core::SeqFrontier) in the bounded park pool
 //! (`max_parked` jobs), and the freed slot admits the high-priority
 //! waiter. The parked frontier resumes later with bit-identical results —
 //! the round-trip property `tests/preempt_equiv.rs` holds across layouts.
@@ -623,7 +625,8 @@ pub(crate) type ReadyJob = Box<dyn FnOnce(&WorkerCtx<'_>) + Send>;
 /// its own locks (the placement core's) without ordering hazards.
 pub(crate) type FinishObserver = Box<dyn Fn(TenantId) + Send + Sync>;
 
-/// The flag a running preemptible job polls at superstep boundaries.
+/// The flag a running preemptible job loads at superstep boundaries; set
+/// by `Preempt`, cleared by `Resume`.
 pub(crate) type PreemptFlag = Arc<AtomicBool>;
 
 /// What a submission does when its tenant is at `max_pending`.
@@ -751,6 +754,9 @@ impl Admission {
         let (ready, tenant, wake) = {
             let mut state = self.state.lock();
             let tenant = state.core.tenant_of(id);
+            if let Some(tenant) = tenant {
+                tb_obs::record(EventKind::JobDone, tenant, id);
+            }
             state.core.complete(id);
             state.slots.remove(&id);
             (Self::apply(&mut state), tenant, state.blocked > 0)
@@ -801,6 +807,12 @@ impl Admission {
                         state.admit_hists[tenant as usize].record(slot.since.elapsed().as_nanos() as u64);
                         tb_obs::record(EventKind::Admit, tenant, id);
                     } else {
+                        // Running pieces only load the flag; it is cleared
+                        // here, under the state lock, so a Preempt applied
+                        // after this resume is never lost.
+                        if let Some(flag) = &slot.flag {
+                            flag.store(false, Ordering::Release);
+                        }
                         tb_obs::record(EventKind::Resume, tenant, id);
                     }
                     ready.push(slot.job.take().expect("core scheduled a job that is already on the pool"));
@@ -898,6 +910,27 @@ mod tests {
         let ready = adm.enqueue(high, Mode::Block, None, (), |_, ()| Box::new(|_| {}));
         assert_eq!(ready.map(|r| r.len()), Ok(0), "saturated: high-priority job must wait for the park");
         assert!(flag.load(Ordering::Acquire), "victim's preempt flag must be set");
+    }
+
+    #[test]
+    fn resume_clears_the_preempt_flag() {
+        let adm = Admission::new(1, 4);
+        let low = adm.add_tenant(TenantSpec::new("low", 8));
+        let high = adm.add_tenant(TenantSpec::new("high", 8).priority(1));
+        let flag: PreemptFlag = Arc::new(AtomicBool::new(false));
+        let mut victim = None;
+        let started = adm.enqueue(low, Mode::Block, Some(Arc::clone(&flag)), (), |id, ()| {
+            victim = Some(id);
+            Box::new(|_| {})
+        });
+        assert_eq!(started.map(|r| r.len()), Ok(1));
+        let urgent = enqueue_noop(&adm, high, Mode::Block).expect("room for the urgent job");
+        assert!(flag.load(Ordering::Acquire), "the urgent job asked the victim to park");
+        let victim = victim.expect("the victim was enqueued");
+        assert_eq!(adm.parked(victim, 3, Box::new(|_| {})).len(), 1, "the park admits the urgent job");
+        assert!(flag.load(Ordering::Acquire), "a parked job's flag stays set while it is swapped out");
+        assert_eq!(adm.finished(urgent).len(), 1, "the freed slot resumes the parked job");
+        assert!(!flag.load(Ordering::Acquire), "Resume cleared the flag before the continuation runs");
     }
 
     #[test]

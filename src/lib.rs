@@ -10,14 +10,16 @@
 //! This facade re-exports the workspace crates:
 //!
 //! * [`core`] (`tb-core`) — task blocks, the BFE/DFE/Restart scheduling
-//!   framework, the sequential engine and the pool scheduler that splits
-//!   it on demand, machine-model statistics;
+//!   framework, the sequential engine and the one superstep seam that
+//!   splits it on demand, stops it on cancel and parks it on preemption,
+//!   machine-model statistics;
 //! * [`runtime`] (`tb-runtime`) — the Cilk-style child-stealing runtime
 //!   (`join`, the hungry-thief signal, the segmented unbounded injector);
 //! * [`service`] (`tb-service`) — the persistent multi-tenant front-end:
 //!   one shared pool, job handles, bulk submission, per-tenant admission
-//!   and backpressure (every submission names its tenant; the prelude
-//!   carries `DEFAULT_TENANT` for code that has none);
+//!   and backpressure, preemptible jobs that split and park (every
+//!   submission names its tenant; the prelude carries `DEFAULT_TENANT`
+//!   for code that has none);
 //! * [`simd`] (`tb-simd`) — portable lanes, struct-of-arrays stores,
 //!   streaming compaction;
 //! * [`model`] (`tb-model`) — explicit computation trees and the Theorem

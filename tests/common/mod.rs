@@ -2,8 +2,9 @@
 //! programs, used by the differential suite (`spec_differential.rs`), the
 //! preemption round-trip suite (`preempt_equiv.rs`) and the split suite
 //! (`restart_split.rs`) — plus the [`KeepThievesHungry`] plug the split
-//! tests wrap programs in, and [`every_policy`], the config row those
-//! suites iterate.
+//! tests wrap programs in, the [`ParkAt`] plug that preempts a run from
+//! inside `expand`, and [`every_policy`], the config row those suites
+//! iterate.
 //!
 //! Termination of generated specs is by construction: parameter 0 is
 //! *fuel* — every spawn passes `p0 - d` with `d >= 1` as argument 0, and
@@ -14,6 +15,7 @@
 #![allow(dead_code)] // each test crate uses its own subset
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Duration;
@@ -216,6 +218,11 @@ impl<P> KeepThievesHungry<P> {
         KeepThievesHungry { inner, seen: Mutex::new(HashSet::new()) }
     }
 
+    /// The wrapped program.
+    pub fn inner(&self) -> &P {
+        &self.inner
+    }
+
     /// How many distinct threads have executed a block so far.
     pub fn threads_seen(&self) -> usize {
         self.seen.lock().expect("no expand panics while holding the set").len()
@@ -249,7 +256,63 @@ impl<P: BlockProgram> BlockProgram for KeepThievesHungry<P> {
             seen.len() < 2
         };
         if alone {
-            std::thread::sleep(Duration::from_micros(100));
+            // Long enough that the pool's other workers are up and have
+            // swept once even when starting them is slow (with tracing on,
+            // each allocates a large ring first): a short job of ~50
+            // supersteps must still outlast that.
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.inner.expand(block, out, red);
+    }
+}
+
+/// The preemption plug: runs `inner` unchanged, but sets its preempt flag
+/// whenever the tasks `expand` has seen cross one of the `at` marks — a
+/// park request at a boundary chosen by the program's own progress, from
+/// whichever worker happens to cross it.
+pub struct ParkAt<P> {
+    inner: P,
+    flag: AtomicBool,
+    at: Vec<u64>,
+    seen: AtomicU64,
+}
+
+impl<P> ParkAt<P> {
+    pub fn new(inner: P, at: Vec<u64>) -> Self {
+        ParkAt { inner, flag: AtomicBool::new(false), at, seen: AtomicU64::new(0) }
+    }
+
+    /// The flag to hand the seam; clear it before resuming a parked run.
+    pub fn flag(&self) -> &AtomicBool {
+        &self.flag
+    }
+}
+
+impl<P: BlockProgram> BlockProgram for ParkAt<P> {
+    type Store = P::Store;
+    type Reducer = P::Reducer;
+
+    fn arity(&self) -> usize {
+        self.inner.arity()
+    }
+
+    fn make_root(&self) -> P::Store {
+        self.inner.make_root()
+    }
+
+    fn make_reducer(&self) -> P::Reducer {
+        self.inner.make_reducer()
+    }
+
+    fn merge_reducers(&self, a: &mut P::Reducer, b: P::Reducer) {
+        self.inner.merge_reducers(a, b);
+    }
+
+    fn expand(&self, block: &mut P::Store, out: &mut BucketSet<P::Store>, red: &mut P::Reducer) {
+        let len = tb_core::TaskStore::len(block) as u64;
+        let before = self.seen.fetch_add(len, Ordering::Relaxed);
+        if self.at.iter().any(|&at| before < at && at <= before + len) {
+            self.flag.store(true, Ordering::Release);
         }
         self.inner.expand(block, out, red);
     }

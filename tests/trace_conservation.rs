@@ -32,19 +32,23 @@
 //!   `b0 - a1 - workers <= count(StealAttempt) <= b1 - a0 + workers`.
 //! * split on demand, every policy: each `SeqScheduler::split_off`
 //!   records one engine-level `Park` and the second engine's `resume` one
-//!   `Resume`, so the two counts are equal (and non-zero once thieves are
-//!   kept hungry); the pool and superstep equalities above hold across the
-//!   splits.
+//!   `Resume`, so both counts equal `ExecStats::splits` (non-zero once
+//!   thieves are kept hungry); the pool and superstep equalities above
+//!   hold across the splits.
+//! * the seam with a token and a flag (what the service drives every job
+//!   through): unfired they change no count; a preempted split run parks
+//!   whole, so `count(Park) == count(Resume) == splits + parks`.
 //! * service: the `Park` job-id multiset equals the `Resume` job-id
-//!   multiset at quiescence (every parked frontier resumed), and
-//!   `count(Admit)` equals the summed per-tenant `admissions` counter.
+//!   multiset at quiescence (every parked frontier resumed),
+//!   `count(Admit)` equals the summed per-tenant `admissions` counter, and
+//!   `count(JobDone)` equals the jobs retired.
 
 mod common;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use common::KeepThievesHungry;
+use common::{KeepThievesHungry, ParkAt};
 use taskblocks::prelude::*;
 use tb_obs::{EventKind, Track};
 use tb_service::TenantSpec;
@@ -230,11 +234,12 @@ fn traced_runs_reconcile_with_scheduler_counters() {
             let delta = pool.metrics().since(&before);
             assert_eq!(sum_args(&tracks, EventKind::Superstep), out.stats.tasks_executed, "{what}");
             assert_eq!(count(&tracks, EventKind::Restart), out.stats.restart_actions, "{what}");
-            let splits = count(&tracks, EventKind::Park);
+            let splits = out.stats.splits;
             assert!(splits >= 1, "{what}: workers sat hungry and the job never split");
+            assert_eq!(count(&tracks, EventKind::Park), splits, "{what}: one engine-level Park per split");
             assert_eq!(
-                splits,
                 count(&tracks, EventKind::Resume),
+                splits,
                 "{what}: every split frontier was resumed once"
             );
             assert_eq!(
@@ -244,6 +249,51 @@ fn traced_runs_reconcile_with_scheduler_counters() {
             );
             assert!(plug.threads_seen() >= 2, "{what}: a split was stolen and run by a second worker");
         }
+    }
+
+    // ---- Phase B3: the seam with a token and a flag ----------------------
+    // The service drives every job through the same loop with its cancel
+    // token and, when preemptible, its preempt flag. Unfired, they change
+    // no count; fired once from inside `expand`, the whole split run parks
+    // as one frontier (one engine-level Park, however many pieces were
+    // running) and its resume is one Resume.
+    for park_at in [vec![], vec![2_000u64]] {
+        let pcfg = SchedConfig::restart(4, 64, 16).with_trace(true);
+        let what = format!("park at {park_at:?}");
+        let pool = ThreadPool::new(2);
+        let parks_wanted = park_at.len() as u64;
+        let plug = KeepThievesHungry::new(ParkAt::new(Fib(22), park_at));
+        let token = CancelToken::new();
+        let seam = Seam { cancel: Some(&token), preempt: Some(plug.inner().flag()), split: true };
+        let _ = tb_obs::drain_all();
+        let mut parks = 0;
+        let mut engine = SeqScheduler::new(&plug, pcfg);
+        let out = loop {
+            match pool.install(|ctx| drive(engine, seam, ctx)) {
+                Outcome::Done(out) => break out,
+                Outcome::Parked(frontier) => {
+                    parks += 1;
+                    plug.inner().flag().store(false, Ordering::Release);
+                    engine = SeqScheduler::resume(&plug, frontier);
+                }
+                Outcome::Cancelled(_) => panic!("{what}: the token never fired"),
+            }
+        };
+        assert_eq!(out.reducer, 17_711, "{what}");
+        assert_eq!(parks, parks_wanted, "{what}");
+        let tracks = tb_obs::drain_all();
+        assert_eq!(sum_args(&tracks, EventKind::Superstep), out.stats.tasks_executed, "{what}");
+        assert!(out.stats.splits >= 1, "{what}: workers sat hungry and the job never split");
+        assert_eq!(
+            count(&tracks, EventKind::Park),
+            out.stats.splits + parks,
+            "{what}: Park = splits + parks"
+        );
+        assert_eq!(
+            count(&tracks, EventKind::Resume),
+            out.stats.splits + parks,
+            "{what}: Resume = splits + resumes"
+        );
     }
 
     // ---- Phase C: service admission, park/resume pairing ---------------
@@ -278,7 +328,11 @@ fn traced_runs_reconcile_with_scheduler_counters() {
     let admissions: u64 = stats.tenants.iter().map(|t| t.counters.admissions).sum();
     assert_eq!(count(&tracks, EventKind::Admit), admissions, "one Admit per Action::Start");
     assert!(count(&tracks, EventKind::Preempt) >= 1);
-    assert_eq!(count(&tracks, EventKind::JobDone), 1, "one preemptible job ran to completion");
+    assert_eq!(
+        count(&tracks, EventKind::JobDone),
+        stats.completed + stats.cancelled + stats.panicked,
+        "one JobDone per retired job"
+    );
     assert!(stats.trace_bytes > 0, "ServiceStats surfaces process-wide trace totals");
 
     // No ring ever overflowed: the equalities above counted every event.
