@@ -1,7 +1,7 @@
 //! Fixed-size binary event model shared by every layer.
 
 /// Number of distinct event kinds (array sizing for per-kind counters).
-pub const KIND_COUNT: usize = 16;
+pub const KIND_COUNT: usize = 15;
 
 /// Stored size of one event: seqlock word + ts + meta + arg.
 pub const EVENT_BYTES: usize = 32;
@@ -18,7 +18,7 @@ pub enum EventKind {
     /// A steal sweep took a job from a victim deque. `arg0` = thief,
     /// `arg` = victim worker index.
     StealHit = 2,
-    /// A job was pushed into the pool's segmented injector.
+    /// A job was pushed into the pool's injector.
     InjectorPush = 3,
     /// A job was popped from the injector by a worker. `arg0` = worker.
     InjectorPop = 4,
@@ -43,13 +43,10 @@ pub enum EventKind {
     TierBegin = 11,
     /// The matching end. `arg0` = lane width, `arg` = tasks expanded.
     TierEnd = 12,
-    /// The bulk API picked a chunk length. `arg0` = pending queue depth
-    /// observed, `arg` = chosen chunk length.
-    ChunkSize = 13,
     /// The admission scheduler started a job. `arg0` = tenant, `arg` = job id.
-    Admit = 14,
+    Admit = 13,
     /// An admitted job finished. `arg0` = tenant, `arg` = job id.
-    JobDone = 15,
+    JobDone = 14,
 }
 
 impl EventKind {
@@ -67,7 +64,6 @@ impl EventKind {
         EventKind::SpecDispatch,
         EventKind::TierBegin,
         EventKind::TierEnd,
-        EventKind::ChunkSize,
         EventKind::Admit,
         EventKind::JobDone,
     ];
@@ -92,7 +88,6 @@ impl EventKind {
             EventKind::SpecDispatch => "spec_dispatch",
             EventKind::TierBegin => "tier_begin",
             EventKind::TierEnd => "tier_end",
-            EventKind::ChunkSize => "chunk_size",
             EventKind::Admit => "admit",
             EventKind::JobDone => "job_done",
         }

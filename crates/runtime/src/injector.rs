@@ -1,435 +1,162 @@
-//! The pool's *segmented unbounded* MPMC injector.
+//! The pool's front door: a locked FIFO that idle workers also sleep on.
 //!
-//! Until PR 3 the injector was a fixed 256-slot Vyukov ring whose `push`
-//! spin-yielded when the ring was full. That was fine while the only
-//! producer was a blocking `install()` (at most one in-flight root per
-//! client thread), but a service front-end that bulk-submits jobs from many
-//! clients must never stall a submitter on *capacity*: a full ring turns
-//! the submission path into a throughput cliff exactly when the system is
-//! busiest. This module replaces the ring with a linked list of
-//! fixed-capacity *segments*, so `push` always has a slot to claim and the
-//! only waiting left on the producer side is the bounded hand-off while a
-//! peer installs the next segment.
+//! External submission ([`crate::ThreadPool::install`] roots and
+//! [`crate::ThreadPool::spawn`] service jobs) pushes here and workers pop
+//! from the front. It is touched once per external job — a service job
+//! runs for ≥ 10 µs — so a `Mutex<VecDeque<T>>` costs nothing the
+//! workload can see, and the same lock makes sleeping exact: a worker
+//! registers in `sleepers` and re-checks the queue *under the lock*, and
+//! every push notifies under the lock it pushed under, so a wake-up can
+//! never fall between a sleeper's last look and its wait (DESIGN §7.3).
 //!
-//! # Algorithm
+//! A Relaxed length hint, written under the lock, lets the hot readers —
+//! [`crate::WorkerCtx::thief_hungry`], the pool's load probe and the idle
+//! sweep through [`Injector::steal`] — see an empty queue without locking
+//! it. The hint may be stale between operations; the sleep path never
+//! trusts it, because it checks the queue itself under the lock.
 //!
-//! The design follows crossbeam's `SegQueue` (itself derived from Vyukov's
-//! MPMC ring, unrolled into a linked list):
-//!
-//! * A global producer cursor (`tail.index`) and consumer cursor
-//!   (`head.index`) advance monotonically. Indices are packed: the low bit
-//!   is a `HAS_NEXT` hint for consumers, the rest counts *positions*. Each
-//!   lap of `LAP` positions maps onto one segment: [`SEG_CAP`]` = LAP - 1`
-//!   value slots plus one *sentinel* position used to serialize segment
-//!   installation.
-//! * A producer claims a position with one CAS on `tail.index`, writes the
-//!   value, then publishes it with a `Release` store of the slot's `WRITE`
-//!   state bit. The producer that claims the last slot of a segment also
-//!   installs the successor segment and bumps the cursor past the sentinel;
-//!   producers arriving at the sentinel spin briefly until it does.
-//! * A consumer claims a position with one CAS on `head.index`, waits for
-//!   the slot's `WRITE` bit (the producer may still be mid-write), and takes
-//!   the value. The consumer of a segment's last slot unlinks the segment.
-//! * Reclamation is the `READ`/`DESTROY` bit protocol: a consumed slot is
-//!   marked `READ`; the unlinking consumer walks the segment and marks
-//!   unread slots `DESTROY`. Whoever sets the *second* of the two bits on
-//!   the last pending slot retires the segment — no epoch GC, no hazard
-//!   pointers, and a segment is only retired after every slot's value has
-//!   been moved out.
-//!
-//! # Segment recycling
-//!
-//! Retired segments are not freed immediately: one segment is parked in a
-//! single-slot `spare` cache (an atomic `swap`, so there is no ABA window)
-//! and handed back to the next producer that needs to grow the list. In
-//! steady state — the queue draining about as fast as it fills — the
-//! injector therefore allocates nothing: the same two segments chase each
-//! other around the spare slot. [`InjectorMetrics::segments_recycled`]
-//! counts the hand-backs.
-//!
-//! # The `full_waits` counter
-//!
-//! [`InjectorMetrics::full_waits`] counts producer-side waits caused by the
-//! queue being at capacity. With the segmented design it is zero *by
-//! construction* — there is no capacity to run out of — and the service
-//! benchmark asserts exactly that, so any future regression back toward a
-//! bounded submission path (or an allocation-failure fallback that parks
-//! producers) trips the assertion instead of silently reintroducing the
-//! cliff. The transient sentinel hand-off is tracked separately as
-//! `install_waits`.
+//! The queue is unbounded, so [`InjectorMetrics::full_waits`] is zero by
+//! construction, and the service benchmark asserts exactly that.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::ptr;
-use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crossbeam_utils::CachePadded;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::deque::Steal;
 
-/// Positions per segment lap: [`SEG_CAP`] value slots + 1 install sentinel.
-const LAP: usize = 64;
-/// Value slots per segment.
-pub const SEG_CAP: usize = LAP - 1;
-/// Low bit of a packed cursor: "the current segment has a successor".
-const HAS_NEXT: usize = 1;
-/// Shift from packed cursor to position index.
-const SHIFT: usize = 1;
-
-/// Slot state bits.
-const WRITE: usize = 1;
-const READ: usize = 2;
-const DESTROY: usize = 4;
-
-struct Slot<T> {
-    value: UnsafeCell<MaybeUninit<T>>,
-    /// `WRITE`: value present; `READ`: value consumed; `DESTROY`: the
-    /// segment unlinker passed this slot before its reader did.
-    state: AtomicUsize,
-}
-
-struct Segment<T> {
-    next: AtomicPtr<Segment<T>>,
-    slots: [Slot<T>; SEG_CAP],
-}
-
-impl<T> Segment<T> {
-    fn alloc() -> *mut Segment<T> {
-        let seg = Segment {
-            next: AtomicPtr::new(ptr::null_mut()),
-            slots: std::array::from_fn(|_| Slot {
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-                state: AtomicUsize::new(0),
-            }),
-        };
-        Box::into_raw(Box::new(seg))
-    }
-
-    /// Wait until the successor segment is installed (bounded by the
-    /// installer's two stores; never a capacity wait).
-    fn wait_next(&self) -> *mut Segment<T> {
-        loop {
-            let next = self.next.load(Ordering::Acquire);
-            if !next.is_null() {
-                return next;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Reset a retired segment for reuse.
-    ///
-    /// # Safety
-    /// Caller must have exclusive access (the segment is fully consumed and
-    /// unreachable from the queue).
-    unsafe fn reset(this: *mut Self) {
-        let seg = unsafe { &*this };
-        seg.next.store(ptr::null_mut(), Ordering::Relaxed);
-        for slot in &seg.slots {
-            slot.state.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A packed cursor plus the segment it currently points into.
-struct Position<T> {
-    index: AtomicUsize,
-    segment: AtomicPtr<Segment<T>>,
-}
-
-/// Monotone producer-side counters (Relaxed; merged snapshots are lower
-/// bounds, exact at quiescence).
+/// Submission-path counters (exact: read under the lock).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InjectorMetrics {
     /// Times a producer waited because the queue was out of capacity.
-    /// Structurally zero for the segmented injector; asserted by the
-    /// `service` benchmark's smoke run.
+    /// Structurally zero — the queue is unbounded — and asserted by the
+    /// service benchmark's smoke run.
     pub full_waits: u64,
-    /// Times a producer (or consumer) waited at a segment boundary for a
-    /// peer to finish installing the successor segment. Transient and
-    /// bounded; reported for visibility, not asserted.
-    pub install_waits: u64,
-    /// Segments allocated from the system allocator.
+    /// Times the queue's buffer grew (the first push allocates it). Flat
+    /// once the queue has reached its high-water mark, so steady traffic
+    /// allocating nothing stays observable.
     pub segments_allocated: u64,
-    /// Segment-growths served from the recycled spare instead of the
-    /// allocator.
+    /// Structurally zero: the buffer is reused in place, there are no
+    /// segments to recycle. Kept so existing readers still compile.
     pub segments_recycled: u64,
 }
 
-/// An unbounded lock-free MPMC queue of linked [`SEG_CAP`]-slot segments:
-/// external threads `push` jobs, idle workers `steal` them. See the module
-/// docs for the protocol.
-pub struct Injector<T> {
-    head: CachePadded<Position<T>>,
-    tail: CachePadded<Position<T>>,
-    /// Single-slot segment recycling cache (swap-only, so no ABA).
-    spare: AtomicPtr<Segment<T>>,
-    full_waits: AtomicU64,
-    install_waits: AtomicU64,
-    segments_allocated: AtomicU64,
-    segments_recycled: AtomicU64,
+struct Queue<T> {
+    items: VecDeque<T>,
+    growths: u64,
 }
 
-// SAFETY: the state-bit protocol hands each slot to exactly one producer and
-// one consumer; values only move while that hand-off is exclusive.
-unsafe impl<T: Send> Send for Injector<T> {}
-unsafe impl<T: Send> Sync for Injector<T> {}
+/// An unbounded MPMC FIFO behind one mutex, plus the condvar idle pool
+/// workers park on. External threads `push` jobs, workers `steal` them.
+pub struct Injector<T> {
+    queue: Mutex<Queue<T>>,
+    /// `queue.items.len()`, stored under the lock after every change and
+    /// loaded Relaxed by readers that only want to skip an empty queue.
+    len: AtomicUsize,
+    /// Workers registered to wait on `wakeup`. Changed only under the
+    /// lock; loaded outside it by worker-side wakes and the load probe.
+    sleepers: AtomicUsize,
+    wakeup: Condvar,
+}
 
-impl<T: Send> Default for Injector<T> {
+impl<T> Default for Injector<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Send> Injector<T> {
-    /// An empty injector with one pre-installed segment.
+impl<T> Injector<T> {
+    /// An empty injector (allocates nothing until the first push).
     pub fn new() -> Self {
-        let first = Segment::alloc();
         Injector {
-            head: CachePadded::new(Position { index: AtomicUsize::new(0), segment: AtomicPtr::new(first) }),
-            tail: CachePadded::new(Position { index: AtomicUsize::new(0), segment: AtomicPtr::new(first) }),
-            spare: AtomicPtr::new(ptr::null_mut()),
-            full_waits: AtomicU64::new(0),
-            install_waits: AtomicU64::new(0),
-            segments_allocated: AtomicU64::new(1),
-            segments_recycled: AtomicU64::new(0),
+            queue: Mutex::new(Queue { items: VecDeque::new(), growths: 0 }),
+            len: AtomicUsize::new(0),
+            sleepers: AtomicUsize::new(0),
+            wakeup: Condvar::new(),
         }
     }
 
-    /// Producer-side counters snapshot.
+    /// Counters snapshot.
     pub fn metrics(&self) -> InjectorMetrics {
-        InjectorMetrics {
-            full_waits: self.full_waits.load(Ordering::Relaxed),
-            install_waits: self.install_waits.load(Ordering::Relaxed),
-            segments_allocated: self.segments_allocated.load(Ordering::Relaxed),
-            segments_recycled: self.segments_recycled.load(Ordering::Relaxed),
-        }
+        InjectorMetrics { full_waits: 0, segments_allocated: self.queue.lock().growths, segments_recycled: 0 }
     }
 
-    /// Take the spare segment or allocate a fresh one.
-    fn obtain_segment(&self) -> *mut Segment<T> {
-        let spare = self.spare.swap(ptr::null_mut(), Ordering::AcqRel);
-        if spare.is_null() {
-            self.segments_allocated.fetch_add(1, Ordering::Relaxed);
-            Segment::alloc()
-        } else {
-            // SAFETY: the swap gave us sole ownership of a fully retired
-            // segment (see `retire`).
-            unsafe { Segment::reset(spare) };
-            self.segments_recycled.fetch_add(1, Ordering::Relaxed);
-            spare
-        }
-    }
-
-    /// Park a fully consumed segment in the spare slot (freeing the
-    /// previous occupant, if any).
-    ///
-    /// # Safety
-    /// `seg` must be unreachable from the queue with every slot consumed.
-    unsafe fn recycle_segment(&self, seg: *mut Segment<T>) {
-        let prev = self.spare.swap(seg, Ordering::AcqRel);
-        if !prev.is_null() {
-            // SAFETY: the previous spare was equally retired and the swap
-            // removed the only shared pointer to it.
-            unsafe { drop(Box::from_raw(prev)) };
-        }
-    }
-
-    /// Finish retiring `seg` starting at slot `start`: mark pending slots
-    /// `DESTROY` and hand the segment to the recycler once every slot has
-    /// been read. Called by the unlinking consumer (with `start = 0`) or by
-    /// a lagging reader that observed `DESTROY` on its own slot.
-    ///
-    /// # Safety
-    /// `seg` must be unlinked from the queue (the head cursor has moved
-    /// past it) and `start..` must cover exactly the slots not yet known to
-    /// be read by the caller.
-    unsafe fn retire(&self, seg: *mut Segment<T>, start: usize) {
-        // The last slot is consumed by the unlinking consumer itself, so
-        // only slots `start..SEG_CAP - 1` can still be pending.
-        for i in start..SEG_CAP - 1 {
-            let slot = unsafe { &(*seg).slots[i] };
-            // If the reader has not finished yet, mark DESTROY and let the
-            // reader continue the retirement when it gets here.
-            if slot.state.load(Ordering::Acquire) & READ == 0
-                && slot.state.fetch_or(DESTROY, Ordering::AcqRel) & READ == 0
-            {
-                return;
-            }
-        }
-        // Every slot read: the segment is ours alone.
-        unsafe { self.recycle_segment(seg) };
-    }
-
-    /// Enqueue `value`. Never waits on capacity; the only transient wait is
-    /// the bounded segment-install hand-off at a lap boundary.
+    /// Enqueue `value` and wake one sleeping worker, if any.
     pub fn push(&self, value: T) {
-        let mut tail = self.tail.index.load(Ordering::Acquire);
-        let mut segment = self.tail.segment.load(Ordering::Acquire);
-        let mut reserve: *mut Segment<T> = ptr::null_mut();
-        loop {
-            let offset = (tail >> SHIFT) % LAP;
-            if offset == SEG_CAP {
-                // Sentinel: a peer claimed the last slot and is installing
-                // the next segment. Bounded wait (two stores away).
-                self.install_waits.fetch_add(1, Ordering::Relaxed);
-                std::hint::spin_loop();
-                tail = self.tail.index.load(Ordering::Acquire);
-                segment = self.tail.segment.load(Ordering::Acquire);
-                continue;
-            }
-            // About to claim the last slot: get the successor ready so the
-            // install happens outside any other producer's wait window.
-            if offset + 1 == SEG_CAP && reserve.is_null() {
-                reserve = self.obtain_segment();
-            }
-            let new_tail = tail + (1 << SHIFT);
-            match self.tail.index.compare_exchange_weak(tail, new_tail, Ordering::SeqCst, Ordering::Acquire) {
-                Ok(_) => unsafe {
-                    if offset + 1 == SEG_CAP {
-                        // We claimed the last slot: install the successor
-                        // and move the cursor past the sentinel.
-                        let next = reserve;
-                        let next_index = new_tail.wrapping_add(1 << SHIFT);
-                        self.tail.segment.store(next, Ordering::Release);
-                        self.tail.index.store(next_index, Ordering::Release);
-                        (*segment).next.store(next, Ordering::Release);
-                    } else if !reserve.is_null() {
-                        // Prepared a successor on an earlier iteration but a
-                        // peer beat us to the boundary: park it for reuse.
-                        self.recycle_segment(reserve);
-                    }
-                    let slot = &(*segment).slots[offset];
-                    (*slot.value.get()).write(value);
-                    // Release: publish the value before the WRITE bit that
-                    // consumers Acquire-load.
-                    slot.state.fetch_or(WRITE, Ordering::Release);
-                    return;
-                },
-                Err(t) => {
-                    tail = t;
-                    segment = self.tail.segment.load(Ordering::Acquire);
-                }
-            }
-        }
+        self.push_waking(value, false);
     }
 
-    /// Dequeue the oldest item, or [`Steal::Empty`] when none is visible.
+    /// Enqueue `value`; then, still under the lock, wake one sleeper (or
+    /// every sleeper if `all`). A worker that re-checked the queue before
+    /// this push is already waiting, so the notify reaches it.
+    pub(crate) fn push_waking(&self, value: T, all: bool) {
+        let mut q = self.queue.lock();
+        if q.items.len() == q.items.capacity() {
+            q.growths += 1;
+        }
+        q.items.push_back(value);
+        self.len.store(q.items.len(), Ordering::Relaxed);
+        self.notify(&q, all);
+    }
+
+    /// Dequeue the oldest item, or [`Steal::Empty`] when none is queued.
+    /// An empty hint returns without taking the lock.
     pub fn steal(&self) -> Steal<T> {
-        let mut head = self.head.index.load(Ordering::Acquire);
-        let mut segment = self.head.segment.load(Ordering::Acquire);
-        loop {
-            let offset = (head >> SHIFT) % LAP;
-            if offset == SEG_CAP {
-                // Sentinel: the consumer of the previous slot is swinging
-                // the head to the next segment.
-                self.install_waits.fetch_add(1, Ordering::Relaxed);
-                std::hint::spin_loop();
-                head = self.head.index.load(Ordering::Acquire);
-                segment = self.head.segment.load(Ordering::Acquire);
-                continue;
-            }
-            let mut new_head = head + (1 << SHIFT);
-            if new_head & HAS_NEXT == 0 {
-                // We do not know whether the current segment has a
-                // successor; order this head read against the tail read so
-                // the emptiness check cannot miss a completed push.
-                fence(Ordering::SeqCst);
-                let tail = self.tail.index.load(Ordering::Relaxed);
-                if head >> SHIFT == tail >> SHIFT {
-                    return Steal::Empty;
-                }
-                if (head >> SHIFT) / LAP != (tail >> SHIFT) / LAP {
-                    new_head |= HAS_NEXT;
-                }
-            }
-            match self.head.index.compare_exchange_weak(head, new_head, Ordering::SeqCst, Ordering::Acquire) {
-                Ok(_) => unsafe {
-                    if offset + 1 == SEG_CAP {
-                        // We claimed the segment's last slot: unlink it.
-                        let next = (*segment).wait_next();
-                        let mut next_index = (new_head & !HAS_NEXT).wrapping_add(1 << SHIFT);
-                        if !(*next).next.load(Ordering::Relaxed).is_null() {
-                            next_index |= HAS_NEXT;
-                        }
-                        self.head.segment.store(next, Ordering::Release);
-                        self.head.index.store(next_index, Ordering::Release);
-                    }
-                    let slot = &(*segment).slots[offset];
-                    // The producer may still be between its index CAS and
-                    // the WRITE publish; bounded wait.
-                    while slot.state.load(Ordering::Acquire) & WRITE == 0 {
-                        std::hint::spin_loop();
-                    }
-                    let value = (*slot.value.get()).assume_init_read();
-                    if offset + 1 == SEG_CAP {
-                        // Unlinker retires the segment (waiting readers
-                        // finish it via the DESTROY hand-off).
-                        self.retire(segment, 0);
-                    } else if slot.state.fetch_or(READ, Ordering::AcqRel) & DESTROY != 0 {
-                        // The unlinker already passed us: continue the
-                        // retirement from the next slot.
-                        self.retire(segment, offset + 1);
-                    }
-                    return Steal::Success(value);
-                },
-                Err(h) => {
-                    head = h;
-                    segment = self.head.segment.load(Ordering::Acquire);
-                }
-            }
+        if self.is_empty() {
+            return Steal::Empty;
         }
+        let mut q = self.queue.lock();
+        let item = q.items.pop_front();
+        self.len.store(q.items.len(), Ordering::Relaxed);
+        item.map_or(Steal::Empty, Steal::Success)
     }
 
-    /// True when no items are visible (approximate between operations).
+    /// True when the length hint reads zero (approximate between
+    /// operations).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Number of queued items (a snapshot; may be stale immediately).
+    /// Number of queued items, from the hint (a snapshot; may be stale
+    /// immediately).
     pub fn len(&self) -> usize {
-        // Positions advance through value slots and sentinels; count only
-        // the value positions between the cursors.
-        fn values(packed: usize) -> usize {
-            let i = packed >> SHIFT;
-            (i / LAP) * SEG_CAP + (i % LAP).min(SEG_CAP)
-        }
-        let tail = values(self.tail.index.load(Ordering::Relaxed));
-        let head = values(self.head.index.load(Ordering::Relaxed));
-        tail.saturating_sub(head)
+        self.len.load(Ordering::Relaxed)
     }
-}
 
-impl<T> Drop for Injector<T> {
-    fn drop(&mut self) {
-        // Exclusive access: drain published-but-unconsumed values, then free
-        // the remaining segment chain and the spare.
-        let mut pos = self.head.index.load(Ordering::Relaxed) >> SHIFT;
-        let tail = self.tail.index.load(Ordering::Relaxed) >> SHIFT;
-        let mut segment = self.head.segment.load(Ordering::Relaxed);
-        while pos < tail {
-            let offset = pos % LAP;
-            if offset < SEG_CAP {
-                let slot = &unsafe { &*segment }.slots[offset];
-                if slot.state.load(Ordering::Relaxed) & WRITE != 0 {
-                    // SAFETY: published and never consumed.
-                    unsafe { (*slot.value.get()).assume_init_drop() };
-                }
-                pos += 1;
+    /// Workers currently registered as sleeping.
+    pub(crate) fn sleepers(&self) -> usize {
+        self.sleepers.load(Ordering::SeqCst)
+    }
+
+    /// Wake one sleeper (or all): takes the lock only when the unlocked
+    /// count shows a sleeper, then checks again under it.
+    pub(crate) fn wake(&self, all: bool) {
+        if self.sleepers() > 0 {
+            self.notify(&self.queue.lock(), all);
+        }
+    }
+
+    /// Park the calling worker until the next notify, unless the queue
+    /// holds an item or `work_elsewhere` (evaluated after registering,
+    /// under the lock) finds something to do. No timeout: every push here
+    /// notifies under this lock, and [`Injector::wake`] covers the rest.
+    pub(crate) fn sleep(&self, work_elsewhere: impl FnOnce() -> bool) {
+        let mut q = self.queue.lock();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        if q.items.is_empty() && !work_elsewhere() {
+            self.wakeup.wait(&mut q);
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Notify under the held lock `_q`, if anyone is waiting.
+    fn notify(&self, _q: &MutexGuard<'_, Queue<T>>, all: bool) {
+        if self.sleepers.load(Ordering::Relaxed) > 0 {
+            if all {
+                self.wakeup.notify_all();
             } else {
-                // Sentinel: hop to the next segment, freeing this one.
-                let next = unsafe { &*segment }.next.load(Ordering::Relaxed);
-                unsafe { drop(Box::from_raw(segment)) };
-                segment = next;
-                pos += 1;
+                self.wakeup.notify_one();
             }
-        }
-        if !segment.is_null() {
-            unsafe { drop(Box::from_raw(segment)) };
-        }
-        let spare = self.spare.load(Ordering::Relaxed);
-        if !spare.is_null() {
-            unsafe { drop(Box::from_raw(spare)) };
         }
     }
 }
@@ -440,7 +167,7 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn fifo_roundtrip_within_one_segment() {
+    fn fifo_roundtrip() {
         let inj: Injector<u64> = Injector::new();
         assert_eq!(inj.steal(), Steal::Empty);
         for i in 0..10 {
@@ -455,33 +182,23 @@ mod tests {
     }
 
     #[test]
-    fn crosses_many_segment_boundaries() {
-        let inj: Injector<usize> = Injector::new();
-        let n = SEG_CAP * 9 + 17;
-        for i in 0..n {
+    fn steady_drain_refill_allocates_nothing() {
+        let inj: Injector<u64> = Injector::new();
+        for i in 0..100 {
             inj.push(i);
         }
-        assert_eq!(inj.len(), n);
-        for i in 0..n {
-            assert_eq!(inj.steal(), Steal::Success(i));
-        }
-        assert_eq!(inj.steal(), Steal::Empty);
-        let m = inj.metrics();
-        assert_eq!(m.full_waits, 0, "unbounded push never blocks on capacity");
-        assert!(m.segments_allocated >= 2, "growth crossed segments");
-    }
-
-    #[test]
-    fn drain_refill_recycles_segments() {
-        let inj: Injector<u64> = Injector::new();
+        while let Steal::Success(_) = inj.steal() {}
+        let grown = inj.metrics().segments_allocated;
+        assert!(grown >= 1, "the first push allocates the buffer");
         for round in 0..8u64 {
-            for i in 0..(SEG_CAP as u64 + 5) {
+            for i in 0..100 {
                 inj.push(round * 1000 + i);
             }
             while let Steal::Success(_) = inj.steal() {}
         }
         let m = inj.metrics();
-        assert!(m.segments_recycled > 0, "steady-state drain/refill should reuse the spare segment: {m:?}");
+        assert_eq!(m.segments_allocated, grown, "refills below the high-water mark reuse the buffer");
+        assert_eq!((m.full_waits, m.segments_recycled), (0, 0));
     }
 
     #[test]
@@ -527,21 +244,43 @@ mod tests {
     #[test]
     fn drop_with_pending_items_is_clean() {
         let inj: Injector<Box<u64>> = Injector::new();
-        for i in 0..(SEG_CAP as u64 * 3 + 10) {
+        for i in 0..200 {
             inj.push(Box::new(i));
         }
-        drop(inj); // must drop every box across the segment chain
+        drop(inj); // must drop every box
     }
 
     #[test]
-    fn drop_mid_segment_after_partial_drain() {
+    fn drop_after_partial_drain_is_clean() {
         let inj: Injector<Box<u64>> = Injector::new();
-        for i in 0..(SEG_CAP as u64 + 30) {
+        for i in 0..93 {
             inj.push(Box::new(i));
         }
-        for _ in 0..(SEG_CAP + 10) {
+        for _ in 0..73 {
             assert!(matches!(inj.steal(), Steal::Success(_)));
         }
-        drop(inj); // 20 boxes left in the second segment
+        for i in 0..40 {
+            inj.push(Box::new(i)); // wraps around the ring buffer's end
+        }
+        drop(inj); // 60 boxes left, split across the wrap
+    }
+
+    #[test]
+    fn a_push_wakes_a_sleeper_without_a_timeout() {
+        let inj: Injector<u64> = Injector::new();
+        std::thread::scope(|scope| {
+            let sleeper = scope.spawn(|| loop {
+                if let Steal::Success(v) = inj.steal() {
+                    return v;
+                }
+                inj.sleep(|| false);
+            });
+            while inj.sleepers() == 0 {
+                std::thread::yield_now();
+            }
+            inj.push(7);
+            assert_eq!(sleeper.join().unwrap(), 7);
+        });
+        assert_eq!(inj.sleepers(), 0);
     }
 }

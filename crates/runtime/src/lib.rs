@@ -4,12 +4,13 @@
 //! this crate is the equivalent substrate, built from scratch: a fixed
 //! pool of workers, per-worker lock-free Chase–Lev deques ([`deque`]) with
 //! owners operating LIFO at the bottom and thieves stealing the oldest
-//! entry with a single CAS at the top, plus a *segmented unbounded*
-//! lock-free MPMC injector ([`injector`]) feeding both the blocking
-//! [`ThreadPool::install`] entry point and the fire-and-forget
-//! [`ThreadPool::spawn`] used by the `tb-service` front-end. No lock is
-//! taken on any push/pop/steal, and submission never blocks on capacity;
-//! the memory-ordering arguments live in DESIGN.md §6–§7.
+//! entry with a single CAS at the top, plus an unbounded locked injector
+//! ([`injector`]) feeding both the blocking [`ThreadPool::install`] entry
+//! point and the fire-and-forget [`ThreadPool::spawn`] used by the
+//! `tb-service` front-end. Work moves between workers without a lock; the
+//! injector's lock is taken once per external job, and idle workers sleep
+//! on it with no timeout. Submission never blocks on capacity. The
+//! memory-ordering and wake-up arguments live in DESIGN.md §6–§7.
 //!
 //! Primitives:
 //!
@@ -96,6 +97,21 @@ mod tests {
             assert_eq!(r, 55);
             drop(pool);
         }
+    }
+
+    #[test]
+    fn a_fully_asleep_pool_shuts_down_promptly() {
+        // Shutdown must reach workers asleep on the injector: there is no
+        // timed re-check to fall back on, so a missed wake would hang drop.
+        let pool = ThreadPool::new(3);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while pool.load().active_workers != 0 {
+            assert!(std::time::Instant::now() < deadline, "workers never fell asleep");
+            std::thread::yield_now();
+        }
+        let start = std::time::Instant::now();
+        drop(pool);
+        assert!(start.elapsed() < std::time::Duration::from_secs(2), "drop waited on a sleeper");
     }
 
     #[test]

@@ -1,23 +1,20 @@
 //! The worker pool: threads, deques, stealing, sleeping, and `join`.
 //!
-//! Since PR 2 the per-worker job deques are the hand-rolled Chase–Lev
-//! deques of [`crate::deque`]; since PR 3 the injector is the segmented
-//! unbounded MPMC queue of [`crate::injector`], so external submission
-//! ([`ThreadPool::install`] roots and [`ThreadPool::spawn`] service jobs)
-//! never blocks on capacity. No scheduling action (push, pop, steal)
-//! takes a lock. The only mutex
-//! left in this module guards the *sleep* condvar, which workers touch
-//! exclusively when parking after repeated fruitless steal sweeps — never
-//! on the work-transfer path.
+//! The per-worker job deques are the lock-free Chase–Lev deques of
+//! [`crate::deque`]: every `join`, pop and steal between workers goes
+//! through them without a lock. External submission ([`ThreadPool::install`]
+//! roots and [`ThreadPool::spawn`] service jobs) enters through the
+//! unbounded locked queue of [`crate::injector`], once per job, and idle
+//! workers sleep on that same lock after 64 fruitless sweeps — with no
+//! timeout, because every wake-up that could reach a sleeper is sent
+//! under it (DESIGN §7.3).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crossbeam_utils::CachePadded;
-use parking_lot::{Condvar, Mutex};
 use tb_obs::EventKind;
 
 use crate::deque::{Steal, Stealer, Worker};
@@ -27,12 +24,8 @@ use crate::latch::{SpinLatch, SyncLatch};
 use crate::metrics::{PoolMetrics, WorkerSteals};
 
 /// How many fruitless steal sweeps a worker performs (yielding in between)
-/// before it parks on the condvar.
+/// before it sleeps on the injector.
 const SPINS_BEFORE_SLEEP: u32 = 64;
-
-/// Parked workers re-check for work at least this often, which makes lost
-/// wakeups a latency bug rather than a deadlock.
-const SLEEP_RECHECK: Duration = Duration::from_micros(500);
 
 /// Steal counters owned by one worker. Only that worker writes them (plain
 /// load + store, no RMW), so the hot path costs a private-cache-line write;
@@ -73,27 +66,10 @@ pub(crate) struct Shared {
     /// hence its own cache line. Advisory: it publishes no data, so every
     /// access is Relaxed.
     idle_workers: CachePadded<AtomicUsize>,
-    sleep_mutex: Mutex<()>,
-    sleep_cv: Condvar,
-    sleepers: AtomicUsize,
     shutdown: AtomicBool,
 }
 
 impl Shared {
-    fn wake_one(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.sleep_mutex.lock();
-            self.sleep_cv.notify_one();
-        }
-    }
-
-    fn wake_all(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.sleep_mutex.lock();
-            self.sleep_cv.notify_all();
-        }
-    }
-
     /// Pool-wide `(steal_attempts, steals)` summed straight off the
     /// per-worker counter lines — the allocation-free read the in-pool
     /// scheduler drivers take twice per job.
@@ -146,9 +122,6 @@ impl ThreadPool {
             counters: (0..threads).map(|_| CachePadded::new(StealCounters::default())).collect(),
             injector_pushes: AtomicU64::new(0),
             idle_workers: CachePadded::new(AtomicUsize::new(0)),
-            sleep_mutex: Mutex::new(()),
-            sleep_cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         });
         let handles = workers
@@ -181,10 +154,9 @@ impl ThreadPool {
     {
         let job = StackJob::<SyncLatch, F, R>::new(SyncLatch::new(), f);
         // SAFETY: we block on the latch below; the job outlives execution.
-        unsafe { self.shared.injector.push(job.as_job_ref()) };
+        self.shared.injector.push_waking(unsafe { job.as_job_ref() }, true);
         self.shared.injector_pushes.fetch_add(1, Ordering::Relaxed);
         tb_obs::record(EventKind::InjectorPush, 0, 0);
-        self.shared.wake_all();
         job.latch.wait();
         // SAFETY: latch set => result written exactly once.
         unsafe { job.take_result() }
@@ -204,19 +176,11 @@ impl ThreadPool {
         self.shared.injector.push(HeapJob::into_job_ref(f));
         self.shared.injector_pushes.fetch_add(1, Ordering::Relaxed);
         tb_obs::record(EventKind::InjectorPush, 0, 0);
-        self.shared.wake_one();
     }
 
-    /// Jobs currently queued in the injector and not yet claimed by a
-    /// worker (a snapshot; excludes jobs already executing). The service
-    /// layer's adaptive bulk chunking reads this as its queue-depth signal.
-    pub fn pending_jobs(&self) -> usize {
-        self.shared.injector.len()
-    }
-
-    /// Submission-path counters of the segmented injector (capacity waits,
-    /// segment churn). `full_waits` staying at zero is the "submission
-    /// never spin-blocks" invariant the service benchmark asserts.
+    /// Submission-path counters of the injector (capacity waits, buffer
+    /// growths). `full_waits` staying at zero is the "submission never
+    /// blocks on capacity" invariant the service benchmark asserts.
     pub fn injector_metrics(&self) -> InjectorMetrics {
         self.shared.injector.metrics()
     }
@@ -239,7 +203,7 @@ impl ThreadPool {
     /// racy snapshots — they order placement *preferences* across pools,
     /// they are not admission bounds (those live in `tb-service`'s gates).
     pub fn load(&self) -> PoolLoad {
-        let sleepers = self.shared.sleepers.load(Ordering::Relaxed).min(self.threads);
+        let sleepers = self.shared.injector.sleepers().min(self.threads);
         PoolLoad {
             injector_depth: self.shared.injector.len(),
             active_workers: self.threads - sleepers,
@@ -254,8 +218,8 @@ impl ThreadPool {
 pub struct PoolLoad {
     /// Jobs queued in the injector, not yet claimed by a worker.
     pub injector_depth: usize,
-    /// Workers currently awake (running or stealing, i.e. not parked on
-    /// the sleep condvar).
+    /// Workers currently awake (running or stealing, i.e. not asleep on
+    /// the injector).
     pub active_workers: usize,
     /// Total workers in the pool.
     pub threads: usize,
@@ -264,7 +228,7 @@ pub struct PoolLoad {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.wake_all();
+        self.shared.injector.wake(true);
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -334,10 +298,15 @@ impl<'a> WorkerCtx<'a> {
         self.push_job(HeapJob::into_job_ref(f));
     }
 
+    /// Push onto this worker's deque and wake one sleeper if the unlocked
+    /// count shows one. A sleeper that registers in the gap between the
+    /// push and that load is missed until the next wake-up; that costs
+    /// parallelism, not progress, because this worker is awake and pops
+    /// its own deque before it can sleep (DESIGN §7.3).
     pub(crate) fn push_job(&self, job: JobRef) {
         self.local.push(job);
         tb_obs::record(EventKind::Spawn, self.index as u32, 0);
-        self.shared.wake_one();
+        self.shared.injector.wake(false);
     }
 
     pub(crate) fn pop_job(&self) -> Option<JobRef> {
@@ -357,17 +326,11 @@ impl<'a> WorkerCtx<'a> {
         StealCounters::bump(&counters.attempts);
         tb_obs::record(EventKind::StealAttempt, self.index as u32, 0);
         // The global injector first: install()/spawn() roots land there.
-        loop {
-            match self.shared.injector.steal() {
-                Steal::Success(job) => {
-                    StealCounters::bump(&counters.steals);
-                    StealCounters::bump(&counters.injector_pops);
-                    tb_obs::record(EventKind::InjectorPop, self.index as u32, 0);
-                    return Some(job);
-                }
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
+        if let Steal::Success(job) = self.shared.injector.steal() {
+            StealCounters::bump(&counters.steals);
+            StealCounters::bump(&counters.injector_pops);
+            tb_obs::record(EventKind::InjectorPop, self.index as u32, 0);
+            return Some(job);
         }
         let n = self.shared.stealers.len();
         let start = (self.next_rand() as usize) % n;
@@ -505,20 +468,17 @@ fn worker_loop(shared: &Shared, index: usize, local: Worker<JobRef>) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        idle_sweeps += 1;
+        idle_sweeps = idle_sweeps.saturating_add(1);
         if idle_sweeps < SPINS_BEFORE_SLEEP {
             std::thread::yield_now();
         } else {
-            // Register as sleeper, re-check for work (avoids a lost-wakeup
-            // race with wake_one's sleeper check), then park briefly.
-            shared.sleepers.fetch_add(1, Ordering::SeqCst);
-            let work_visible = !shared.injector.is_empty()
-                || shared.stealers.iter().enumerate().any(|(i, s)| i != index && !s.is_empty());
-            if !work_visible && !shared.shutdown.load(Ordering::SeqCst) {
-                let mut g = shared.sleep_mutex.lock();
-                shared.sleep_cv.wait_for(&mut g, SLEEP_RECHECK);
-            }
-            shared.sleepers.fetch_sub(1, Ordering::SeqCst);
+            // Sleep until a push or a wake: registered and re-checked under
+            // the injector's lock, so an injector push or shutdown cannot
+            // slip past (DESIGN §7.3).
+            shared.injector.sleep(|| {
+                shared.shutdown.load(Ordering::SeqCst)
+                    || shared.stealers.iter().enumerate().any(|(i, s)| i != index && !s.is_empty())
+            });
         }
     }
 }

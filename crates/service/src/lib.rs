@@ -15,9 +15,6 @@
 //!   restart jobs coexist on one pool. Every job runs through one driver,
 //!   [`tb_core::drive`], on the worker that picks it up: `Seq` jobs stay
 //!   there, `Par` jobs split whenever another worker is hungry;
-//! * **bulk submission** — [`Runtime::submit_bulk`] cuts an input slice
-//!   into adaptively sized chunks (per DCAFE: chunk size grows with queue
-//!   depth, never one-task-per-item flooding);
 //! * **multi-tenant admission** — every job belongs to a tenant
 //!   ([`TenantSpec`]: weight, strict priority, pending bound). The
 //!   admission scheduler ([`sched`]) splits pool slots by weight within a
@@ -26,8 +23,8 @@
 //!   classes, and the same scheduler's per-tenant live count is the
 //!   backpressure bound: a tenant at `max_pending` blocks (`submit_*`) or
 //!   sheds (`try_submit_*`) its *own* oversubscribing clients; the pool's
-//!   *segmented unbounded* injector (`tb_runtime::injector`) guarantees
-//!   admitted submissions never spin-block;
+//!   unbounded injector (`tb_runtime::injector`) guarantees admitted
+//!   submissions never wait on capacity;
 //! * **preemptible jobs** — [`Runtime::submit_preemptible`] work splits on
 //!   demand and parks at a superstep boundary when a higher-priority
 //!   tenant needs its slot: every running piece stops, the pieces merge
@@ -64,8 +61,8 @@
 //! Every entry point names its tenant ([`DEFAULT_TENANT`] for callers that
 //! have none) and, for spec source, its execution tier: there is one
 //! blocking and one shedding form of each submission, not a family of
-//! defaulted shorthands. The segment lifecycle, the backpressure rule and
-//! the worker parking protocol are documented in DESIGN.md §7.
+//! defaulted shorthands. The injector, the backpressure rule and the
+//! worker parking protocol are documented in DESIGN.md §7.
 //!
 //! # Quick start
 //!
@@ -106,34 +103,21 @@
 //! assert_eq!(a.wait(), Ok(1 << 10));
 //! assert_eq!(b.wait(), Ok(1 << 12));
 //!
-//! // Bulk data-parallel submission: items chunked adaptively, results in
-//! // input order.
-//! let bulk = rt.submit_bulk(
-//!     (0..64u32).map(|_| 4u32).collect::<Vec<_>>(),
-//!     SchedConfig::basic(4, 64),
-//!     SchedulerKind::Par,
-//!     |chunk: Vec<u32>| Tree(chunk.len() as u32 + 3), // one program per chunk
-//! );
-//! let total: u64 = bulk.wait().into_iter().map(|r| r.unwrap()).sum();
-//! assert!(total > 0);
-//!
 //! // Cancellation is cooperative and drop is detach, not cancel.
 //! let big = rt.submit_as(DEFAULT_TENANT, Tree(28), SchedConfig::basic(4, 1024), SchedulerKind::Par);
 //! big.cancel();
 //! let _ = big.wait(); // Err(Cancelled), or Ok(_) if it finished first — never a hang
 //!
-//! // The submission path never spin-blocked on capacity:
+//! // The submission path never waited on capacity:
 //! assert_eq!(rt.stats().injector.full_waits, 0);
 //! ```
 
-mod bulk;
 mod handle;
 mod runtime;
 pub mod sched;
 pub mod shard;
 pub mod wire;
 
-pub use bulk::BulkHandle;
 pub use handle::{JobError, JobHandle};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeLoad, ServiceStats, DEFAULT_TENANT};
 pub use sched::{

@@ -12,15 +12,13 @@ use tb_obs::EventKind;
 use tb_runtime::{InjectorMetrics, ThreadPool, WorkerCtx};
 use tb_spec::{compile, parse_spec, CompiledSpec, SpecCode, SpecTier, VectorSpec};
 
-use crate::bulk::{chunk_len, BulkCore, BulkHandle};
 use crate::handle::{JobCore, JobError, JobHandle};
 use crate::sched::{
     Admission, FinishObserver, JobId, Mode, PreemptFlag, ReadyJob, TenantId, TenantSnapshot, TenantSpec,
 };
 
 /// The tenant every runtime is born with (weight 1, priority 0): what
-/// tenant-unaware callers pass to [`Runtime::submit_as`] and friends, and
-/// the tenant [`Runtime::submit_bulk`] chunks run as.
+/// tenant-unaware callers pass to [`Runtime::submit_as`] and friends.
 pub const DEFAULT_TENANT: TenantId = 0;
 
 /// Construction parameters for a [`Runtime`].
@@ -30,9 +28,9 @@ pub struct RuntimeConfig {
     /// available parallelism.
     pub threads: usize,
     /// Pool-side admission bound: jobs *running* on the pool at once
-    /// (scheduler jobs and bulk *chunks* count as one each). Jobs accepted
-    /// under their tenant's pending bound but beyond this one wait in the
-    /// scheduler's queues. Defaults to `8 × threads` — enough
+    /// (each job counts as one, however many workers it splits across).
+    /// Jobs accepted under their tenant's pending bound but beyond this one
+    /// wait in the scheduler's queues. Defaults to `8 × threads` — enough
     /// depth to keep every worker fed through job-boundary gaps, small
     /// enough that queueing delay stays bounded by a few job service
     /// times. It is also the default tenant's `max_pending`, so
@@ -54,7 +52,7 @@ impl Default for RuntimeConfig {
 /// Lifetime counters for a runtime (monotone, Relaxed; exact at quiescence).
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
-    /// Jobs accepted for execution (including bulk chunks).
+    /// Jobs accepted for execution.
     pub submitted: u64,
     /// Jobs that completed with a value.
     pub completed: u64,
@@ -91,9 +89,9 @@ pub struct ServiceStats {
     pub backpressure_waits: u64,
     /// Per-tenant queue depths and counters, indexed by [`TenantId`].
     pub tenants: Vec<TenantSnapshot>,
-    /// Submission-path counters of the pool's segmented injector.
-    /// `injector.full_waits == 0` is the "submission never spin-blocks"
-    /// invariant.
+    /// Submission-path counters of the pool's injector.
+    /// `injector.full_waits == 0` is the "submission never waits on
+    /// capacity" invariant.
     pub injector: InjectorMetrics,
     /// Trace events lost to ring overflow or torn drains, process-wide
     /// (`tb_obs`); 0 when tracing is disabled.
@@ -276,11 +274,6 @@ impl Runtime {
     /// Worker threads in the shared pool.
     pub fn threads(&self) -> usize {
         self.inner.pool.threads()
-    }
-
-    /// Jobs queued in the pool's injector, not yet claimed by a worker.
-    pub fn pending_jobs(&self) -> usize {
-        self.inner.pool.pending_jobs()
     }
 
     /// A cheap point-in-time load probe of this runtime, for placement
@@ -554,51 +547,6 @@ impl Runtime {
         JobHandle::new(core)
     }
 
-    /// Bulk data-parallel submission: cut `items` into chunks
-    /// (DCAFE-style adaptive sizing — see [`BulkHandle`] — instead of one
-    /// job per item), build a program for each chunk with `make`, and run
-    /// every chunk as its own admitted job. The returned handle aggregates
-    /// the per-chunk reductions in input order.
-    ///
-    /// Chunks count against the default tenant's pending bound like
-    /// everything else, one job per chunk, so a huge bulk submission
-    /// blocks *its own* submitter once the tenant saturates rather than
-    /// starving other tenants behind an unbounded queue.
-    pub fn submit_bulk<I, P, F>(
-        &self,
-        items: Vec<I>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-        make: F,
-    ) -> BulkHandle<P::Reducer>
-    where
-        I: Send + 'static,
-        P: BlockProgram + Send + 'static,
-        P::Reducer: Send + 'static,
-        F: Fn(Vec<I>) -> P + Send + Sync + 'static,
-    {
-        let total = items.len();
-        let chunk_len = chunk_len(total, self.threads(), self.pending_jobs());
-        // arg0 = adaptive chunk length chosen, arg = items being cut.
-        tb_obs::record(EventKind::ChunkSize, chunk_len as u32, total as u64);
-        let chunks = total.div_ceil(chunk_len.max(1));
-        let core = Arc::new(BulkCore::new(chunks));
-        let token = core.cancel_token();
-        let make = Arc::new(make);
-        let mut items = items;
-        for index in 0..chunks {
-            let rest = items.split_off(chunk_len.min(items.len()));
-            let chunk = std::mem::replace(&mut items, rest);
-            let (core, make) = (Arc::clone(&core), Arc::clone(&make));
-            let job = self.job(token.clone(), None, cfg, kind, move |r| core.complete_chunk(index, r));
-            admitted(self.enqueue(DEFAULT_TENANT, Mode::Block, None, chunk, move |id, chunk| {
-                Job { id, ..job }.start(move || make(chunk))
-            }));
-        }
-        debug_assert!(items.is_empty(), "chunking consumed every item");
-        BulkHandle::new(core, chunks)
-    }
-
     /// The one enqueue: pass `tenant`'s pending bound in `mode` (see
     /// [`Admission::enqueue`]; `Err` hands `payload` back on a shed) and
     /// spawn whatever the scheduler released. This is a *client* path — we
@@ -634,29 +582,25 @@ impl Runtime {
         P: BlockProgram + Send + 'static,
         P::Reducer: Send + 'static,
     {
-        let core = Arc::new(JobCore::new());
-        let worker_core = Arc::clone(&core);
-        let job = self.job(core.cancel_token(), flag.clone(), cfg, kind, move |r| worker_core.complete(r));
-        self.enqueue(tenant, mode, flag, prog, move |id, prog| Job { id, ..job }.start(move || prog))?;
-        Ok(JobHandle::new(core))
-    }
-
-    /// A [`Job`] publishing through `publish`; its enqueue fills in the id.
-    fn job<F>(
-        &self,
-        token: CancelToken,
-        flag: Option<PreemptFlag>,
-        cfg: SchedConfig,
-        kind: SchedulerKind,
-        publish: F,
-    ) -> Job<F> {
         let (cfg, split) = match kind {
             SchedulerKind::Seq => (cfg, false),
             SchedulerKind::Par => (cfg, true),
             SchedulerKind::RestartIdeal => (cfg.with_policy(PolicyKind::Restart), true),
         };
-        let (adm, counters) = (Arc::clone(&self.inner.admission), Arc::clone(&self.inner.counters));
-        Job { id: 0, cfg, split, token, flag, adm, counters, publish }
+        let core = Arc::new(JobCore::new());
+        let worker_core = Arc::clone(&core);
+        let job = Job {
+            id: 0, // the enqueue fills it in
+            cfg,
+            split,
+            token: core.cancel_token(),
+            flag: flag.clone(),
+            adm: Arc::clone(&self.inner.admission),
+            counters: Arc::clone(&self.inner.counters),
+            publish: move |r| worker_core.complete(r),
+        };
+        self.enqueue(tenant, mode, flag, prog, move |id, prog| Job { id, ..job }.start(prog))?;
+        Ok(JobHandle::new(core))
     }
 }
 
@@ -686,20 +630,14 @@ struct Job<F> {
 }
 
 impl<F> Job<F> {
-    /// The body the pool runs at `Start`: build the program on the worker
-    /// (a panic in `make`, such as a bulk chunk-builder's, is the job's
-    /// panic) and run it from the start.
-    fn start<P, M>(self, make: M) -> ReadyJob
+    /// The body the pool runs at `Start`: run `prog` from the start.
+    fn start<P>(self, prog: P) -> ReadyJob
     where
         P: BlockProgram + Send + 'static,
         P::Reducer: Send + 'static,
-        M: FnOnce() -> P + Send + 'static,
         F: FnOnce(Result<P::Reducer, JobError>) + Send + 'static,
     {
-        Box::new(move |ctx: &WorkerCtx<'_>| match catch_unwind(AssertUnwindSafe(make)) {
-            Ok(prog) => self.run(prog, None, ctx),
-            Err(_) => self.retire(ctx, Err(JobError::Panicked)),
-        })
+        Box::new(move |ctx: &WorkerCtx<'_>| self.run(prog, None, ctx))
     }
 
     /// The one job body, run from the start (`None`) or from a parked

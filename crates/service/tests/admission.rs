@@ -237,66 +237,12 @@ fn stats_expose_tenant_queues_and_counters() {
     assert_eq!((stats.inflight, stats.waiting, stats.parked), (0, 0, 0), "quiescent");
 }
 
-/// Sums the items of its chunk — the payload for the bulk-merge tests.
-struct SumChunk(Vec<u64>);
-
-impl BlockProgram for SumChunk {
-    type Store = Vec<u64>;
-    type Reducer = u64;
-    fn arity(&self) -> usize {
-        1
-    }
-    fn make_root(&self) -> Vec<u64> {
-        self.0.clone()
-    }
-    fn make_reducer(&self) -> u64 {
-        0
-    }
-    fn merge_reducers(&self, a: &mut u64, b: u64) {
-        *a += b;
-    }
-    fn expand(&self, block: &mut Vec<u64>, _out: &mut BucketSet<Vec<u64>>, red: &mut u64) {
-        *red += block.drain(..).sum::<u64>();
-    }
-}
-
-/// `BulkHandle::wait_merged` through a real threaded pool: the adaptive
-/// chunk cut is invisible to the caller — the fold over chunk results in
-/// chunk order lands on the same total no matter how the items were cut or
-/// which worker ran which chunk.
+/// A cancel reaches a job that is still queued: with the only worker
+/// pinned by a plug, the job cannot start before the cancel lands, so it
+/// must come back `Cancelled` without ever running, and still return its
+/// tenant's pending slot.
 #[test]
-fn bulk_wait_merged_folds_chunk_results_across_threads() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, max_parked: 0 });
-    let n = 10_000u64;
-    let items: Vec<u64> = (0..n).collect();
-    let bulk = rt.submit_bulk(items, cfg(), SchedulerKind::Par, SumChunk);
-    assert!(bulk.chunks() >= 1);
-    let total = bulk.wait_merged(0u64, |acc, chunk_sum| acc + chunk_sum).expect("no chunk fails");
-    assert_eq!(total, n * (n - 1) / 2);
-
-    // The bulk's chunks flow through the same per-tenant accounting as
-    // ordinary jobs: every chunk counted submitted and completed, and all
-    // gate slots returned.
-    let stats = rt.stats();
-    let default = &stats.tenants[tb_service::DEFAULT_TENANT as usize];
-    assert_eq!(default.counters.submitted, default.counters.completed);
-    assert!(default.counters.completed >= bulk_chunks_lower_bound(), "chunks went through the gate");
-    assert_eq!(default.pending, 0);
-}
-
-/// At least one chunk for any non-empty bulk — kept as a named constant so
-/// the assertion above reads as intent, not magic.
-fn bulk_chunks_lower_bound() -> u64 {
-    1
-}
-
-/// `wait_merged` error short-circuiting: cancel a bulk whose chunks are
-/// stuck behind a plug; the merged wait must surface `Cancelled` instead
-/// of a partial fold, and the merge closure must stop being called.
-#[test]
-fn bulk_wait_merged_short_circuits_on_a_cancelled_chunk() {
-    // A wide gate (submission never blocks) over a single worker: the plug
-    // pins the pool, so every bulk chunk is still queued when we cancel.
+fn cancel_reaches_a_still_queued_job() {
     let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 64, max_parked: 0 });
     let (release, started) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
     let plug = rt.submit_as(
@@ -305,23 +251,20 @@ fn bulk_wait_merged_short_circuits_on_a_cancelled_chunk() {
         cfg(),
         SchedulerKind::Seq,
     );
-    await_flag(&started); // the only worker is occupied: bulk chunks can only queue
-    let bulk = rt.submit_bulk((0..64u64).collect(), cfg(), SchedulerKind::Par, SumChunk);
-    bulk.cancel();
+    await_flag(&started); // the only worker is occupied: the next job can only queue
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let queued =
+        rt.submit_as(DEFAULT_TENANT, Mark { tag: 1, log: Arc::clone(&log) }, cfg(), SchedulerKind::Par);
+    queued.cancel();
     release.store(true, Ordering::Release);
     assert_eq!(plug.wait(), Ok(1));
-
-    let mut merges = 0u32;
-    let merged = bulk.wait_merged(0u64, |acc, s| {
-        merges += 1;
-        acc + s
-    });
-    assert_eq!(merged, Err(tb_service::JobError::Cancelled), "cancellation surfaces, not a partial sum");
-    assert_eq!(merges, 0, "every chunk was cancelled before running; nothing merged");
+    assert_eq!(queued.wait(), Err(tb_service::JobError::Cancelled));
+    assert!(log.lock().unwrap().is_empty(), "the cancelled job never expanded a block");
 
     let stats = rt.stats();
-    let default = &stats.tenants[tb_service::DEFAULT_TENANT as usize];
-    assert_eq!(default.pending, 0, "cancelled chunks still return their gate slots");
+    let default = &stats.tenants[DEFAULT_TENANT as usize];
+    assert_eq!(default.pending, 0, "the cancelled job still returned its pending slot");
+    assert_eq!(stats.cancelled, 1);
 }
 
 /// Per-tenant counters roll up identically through a `ShardSnapshot`: the

@@ -1,6 +1,6 @@
 //! Integration tests for the service layer: multi-tenant submission,
-//! cooperative cancellation, handle drop (detach), backpressure, and bulk
-//! chunking — the behaviours a long-lived shared runtime must not get
+//! cooperative cancellation, handle drop (detach), backpressure and panic
+//! containment — the behaviours a long-lived shared runtime must not get
 //! wrong under concurrent clients.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -245,46 +245,6 @@ fn try_submit_sheds_load_when_saturated() {
 }
 
 #[test]
-fn bulk_results_arrive_in_input_order() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, ..RuntimeConfig::default() });
-    // 100 items, each chunk's program counts leaves of depth = chunk len.
-    let items: Vec<u32> = (0..100).collect();
-    let bulk = rt.submit_bulk(items, SchedConfig::basic(4, 64), SchedulerKind::Par, |chunk: Vec<u32>| {
-        Tree(chunk.len() as u32)
-    });
-    let chunks = bulk.chunks();
-    assert!(chunks >= 2, "100 items on 2 workers must split");
-    let results = bulk.wait();
-    assert_eq!(results.len(), chunks);
-    let total: u64 = results.into_iter().map(|r| r.expect("no chunk failed")).sum();
-    // Each chunk of length L contributes 2^L leaves; chunk lengths sum to
-    // 100, and every chunk is non-empty.
-    assert!(total >= 100);
-    assert_eq!(rt.stats().completed as usize, chunks);
-}
-
-#[test]
-fn bulk_cancel_reaches_queued_chunks() {
-    let rt = Runtime::with_config(RuntimeConfig { threads: 1, max_inflight: 16, ..RuntimeConfig::default() });
-    // Many deep chunks on one worker: cancel after the first ticks arrive;
-    // later chunks must come back Cancelled without doing their full work.
-    let ticks = Arc::new(AtomicU64::new(0));
-    let t2 = Arc::clone(&ticks);
-    let bulk = rt.submit_bulk(
-        (0..64u32).collect::<Vec<_>>(),
-        SchedConfig::basic(4, 64),
-        SchedulerKind::Par,
-        move |chunk: Vec<u32>| CountingTree { depth: 24 + chunk.len() as u32, ticks: Arc::clone(&t2) },
-    );
-    while ticks.load(Ordering::Relaxed) < 100 {
-        std::hint::spin_loop();
-    }
-    bulk.cancel();
-    let results = bulk.wait(); // must terminate long before 64 × 2^24 tasks
-    assert!(results.contains(&Err(JobError::Cancelled)), "at least the queued chunks observe the cancel");
-}
-
-#[test]
 fn panicking_program_is_contained() {
     struct Bomb;
     impl BlockProgram for Bomb {
@@ -310,29 +270,6 @@ fn panicking_program_is_contained() {
     assert_eq!(rt.stats().panicked, 1);
     assert_eq!(rt.stats().inflight, 0, "panicked job released its slot");
     // Pool workers survived; the runtime still serves.
-    let h = rt.submit_as(DEFAULT_TENANT, Tree(8), SchedConfig::basic(4, 64), SchedulerKind::Par);
-    assert_eq!(h.wait(), Ok(256));
-}
-
-#[test]
-fn panicking_bulk_chunk_builder_is_contained() {
-    // Regression: a panic inside the user-supplied chunk-builder must be
-    // routed to JobError::Panicked like any program panic — not escape the
-    // catch, leak gate slots, and wedge BulkHandle::wait() forever.
-    let rt = Runtime::with_config(RuntimeConfig { threads: 2, max_inflight: 8, ..RuntimeConfig::default() });
-    let bulk = rt.submit_bulk(
-        (0..32u32).collect::<Vec<_>>(),
-        SchedConfig::basic(4, 64),
-        SchedulerKind::Par,
-        |_chunk: Vec<u32>| -> Tree { panic!("builder bomb") },
-    );
-    let results = bulk.wait(); // must complete, not hang
-    assert!(!results.is_empty());
-    assert!(results.iter().all(|r| *r == Err(JobError::Panicked)));
-    let stats = rt.stats();
-    assert_eq!(stats.inflight, 0, "panicked chunks must release their gate slots");
-    assert_eq!(stats.panicked as usize, results.len());
-    // Runtime still serves.
     let h = rt.submit_as(DEFAULT_TENANT, Tree(8), SchedConfig::basic(4, 64), SchedulerKind::Par);
     assert_eq!(h.wait(), Ok(256));
 }

@@ -7,12 +7,12 @@
 //! to blocks can be vectorized using Streaming Compaction."
 //!
 //! [`compact_append`] is the portable scalar version (branch-light,
-//! cursor-advance style, which LLVM lowers well). Two hardware
-//! specialisations are provided and selected at runtime: an AVX2 `vpermd`
-//! table walk (8×u32, and 4/8×i64 with each 64-bit lane permuted as a
-//! dword pair) and an AVX-512 `vpcompressq` path for 8×i64
-//! ([`compact_append_i64`], the kernel behind spec spawn-column writes).
-//! The property tests assert every path agrees with the scalar version.
+//! cursor-advance style, which LLVM lowers well). [`compact_append_i64`],
+//! the kernel behind spec spawn-column writes, adds two hardware
+//! specialisations selected at runtime: an AVX2 `vpermd` table walk for
+//! 4/8×i64 (each 64-bit lane permuted as a dword pair) and an AVX-512
+//! `vpcompressq` path for 8×i64. The property tests assert every path
+//! agrees with the scalar version.
 
 use crate::lanes::{Lanes, Mask};
 
@@ -58,29 +58,15 @@ pub fn compact_slice<T: Copy, const N: usize>(out: &mut Vec<T>, src: &[T], keep:
     out.len() - before
 }
 
-/// AVX2 `vpermd`-based compaction of 8 `u32` lanes, selected at runtime.
-/// Falls back to the scalar path off-x86 or without AVX2.
-#[inline]
-pub fn compact_append_u32x8(out: &mut Vec<u32>, src: &Lanes<u32, 8>, mask: &Mask<8>) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 presence just checked.
-            return unsafe { avx2::compact_u32x8(out, src, mask) };
-        }
-    }
-    compact_append(out, src, mask)
-}
-
 /// Masked compaction of `Q` `i64` lanes — the kernel behind every spec
 /// spawn column write (`ArgBlock::push_lane_tuples` calls this once per
 /// parameter column, for any parameter count).
 ///
 /// Dispatches at runtime: AVX-512 `vpcompressq` when available (one
 /// instruction for 8 lanes), an AVX2 `vpermd` table walk otherwise (each
-/// 64-bit lane is permuted as a pair of dwords, same technique as
-/// [`compact_append_u32x8`]), and the portable scalar cursor loop as the
-/// final fallback and for widths the vector paths don't cover.
+/// 64-bit lane is permuted as a pair of dwords), and the portable scalar
+/// cursor loop as the final fallback and for widths the vector paths
+/// don't cover.
 #[inline]
 pub fn compact_append_i64<const N: usize>(out: &mut Vec<i64>, src: &Lanes<i64, N>, mask: &Mask<N>) -> usize {
     #[cfg(target_arch = "x86_64")]
@@ -113,48 +99,6 @@ pub fn compact_append_i64<const N: usize>(out: &mut Vec<i64>, src: &Lanes<i64, N
 mod avx2 {
     use super::*;
     use std::arch::x86_64::*;
-
-    /// For each 8-bit mask, the `vpermd` control gathering the set lanes to
-    /// the front (unset lanes' slots are don't-care). Built at compile time
-    /// — one 8 KiB table instead of a per-call loop.
-    const PERMS: [[u32; 8]; 256] = {
-        let mut table = [[0u32; 8]; 256];
-        let mut m = 0;
-        while m < 256 {
-            let mut k = 0;
-            let mut lane = 0;
-            while lane < 8 {
-                if m & (1 << lane) != 0 {
-                    table[m][k] = lane as u32;
-                    k += 1;
-                }
-                lane += 1;
-            }
-            m += 1;
-        }
-        table
-    };
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn compact_u32x8(out: &mut Vec<u32>, src: &Lanes<u32, 8>, mask: &Mask<8>) -> usize {
-        let bits = mask.to_bitmask() as u32;
-        let kept = bits.count_ones() as usize;
-        out.reserve(8);
-        let perm_arr = PERMS[bits as usize];
-        // SAFETY (within target_feature fn): loads are from properly sized
-        // stacks/slices; the store has 8 u32 of headroom via reserve(8).
-        unsafe {
-            let v = _mm256_loadu_si256(src.0.as_ptr().cast());
-            let perm = _mm256_loadu_si256(perm_arr.as_ptr().cast());
-            let packed = _mm256_permutevar8x32_epi32(v, perm);
-            let cursor = out.len();
-            _mm256_storeu_si256(out.as_mut_ptr().add(cursor).cast(), packed);
-            out.set_len(cursor + kept);
-        }
-        kept
-    }
 
     /// For each 4-bit mask over 64-bit lanes, the `vpermd` control that
     /// gathers the set lanes' dword halves to the front: set lane `l`
@@ -267,25 +211,6 @@ mod tests {
         let n = compact_slice::<u32, 8>(&mut out, &src, &keep);
         assert_eq!(out, vec![0, 3, 6, 9, 12, 15, 18]);
         assert_eq!(n, 7);
-    }
-
-    #[test]
-    fn avx2_matches_scalar_exhaustively() {
-        // All 256 masks on fixed data: the intrinsic path must agree with
-        // the scalar path bit-for-bit.
-        let src = Lanes([7u32, 6, 5, 4, 3, 2, 1, 0]);
-        for bits in 0u32..256 {
-            let mut m = [false; 8];
-            for (lane, b) in m.iter_mut().enumerate() {
-                *b = bits & (1 << lane) != 0;
-            }
-            let mask = Mask(m);
-            let mut scalar = Vec::new();
-            compact_append(&mut scalar, &src, &mask);
-            let mut fast = Vec::new();
-            compact_append_u32x8(&mut fast, &src, &mask);
-            assert_eq!(scalar, fast, "mask {bits:#010b}");
-        }
     }
 
     #[test]

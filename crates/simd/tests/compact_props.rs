@@ -2,7 +2,7 @@
 //! indistinguishable from the obvious filter, for every mask and payload.
 
 use proptest::prelude::*;
-use tb_simd::compact::{compact_append_u32x8, compact_slice};
+use tb_simd::compact::{compact_append_i64, compact_slice};
 use tb_simd::{compact_append, Lanes, Mask};
 
 proptest! {
@@ -19,14 +19,16 @@ proptest! {
     }
 
     #[test]
-    fn avx2_path_equals_scalar_path(vals in proptest::array::uniform8(any::<u32>()),
+    fn avx2_path_equals_scalar_path(vals in proptest::array::uniform8(any::<i64>()),
                                     mask in proptest::array::uniform8(any::<bool>())) {
+        // The dispatching 8×i64 kernel spec spawn columns run: vpcompressq,
+        // paired vpermd or scalar, whichever this host selects.
         let lanes = Lanes(vals);
         let m = Mask(mask);
-        let mut scalar = vec![7u32]; // non-empty prefix must be preserved
-        let mut fast = vec![7u32];
+        let mut scalar = vec![7i64]; // non-empty prefix must be preserved
+        let mut fast = vec![7i64];
         compact_append(&mut scalar, &lanes, &m);
-        compact_append_u32x8(&mut fast, &lanes, &m);
+        compact_append_i64::<8>(&mut fast, &lanes, &m);
         prop_assert_eq!(scalar, fast);
     }
 

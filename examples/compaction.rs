@@ -1,7 +1,8 @@
 //! Streaming compaction up close: the §6 primitive that keeps spawn
 //! buckets dense without per-lane branches. Shows the scalar
-//! cursor-advance version and the AVX2 `vpermd` version agreeing, and
-//! times them head to head on this machine.
+//! cursor-advance version and the dispatching 8×i64 kernel spec spawn
+//! columns run (AVX-512 `vpcompressq`, AVX2 `vpermd` pairs, or scalar)
+//! agreeing, and times them head to head on this machine.
 //!
 //! ```sh
 //! cargo run --release --example compaction
@@ -10,7 +11,7 @@
 use std::time::Instant;
 
 use taskblocks::prelude::*;
-use taskblocks::simd::compact::compact_append_u32x8;
+use taskblocks::simd::compact::compact_append_i64;
 use taskblocks::simd::CpuFeatures;
 
 fn main() {
@@ -19,7 +20,7 @@ fn main() {
 
     // A blocked step's typical situation: a vector of candidate children
     // and a survival mask from the base-case test.
-    let children = Lanes([10u32, 11, 12, 13, 14, 15, 16, 17]);
+    let children = Lanes([10i64, 11, 12, 13, 14, 15, 16, 17]);
     let survivors = Mask([true, false, true, true, false, true, false, true]);
     let mut bucket = Vec::new();
     compact_append(&mut bucket, &children, &survivors);
@@ -27,7 +28,7 @@ fn main() {
     println!("mask      : {:?}", survivors.0);
     println!("compacted : {bucket:?}  (dense, order-preserving)\n");
 
-    // Correctness: the AVX2 path agrees on every one of the 256 masks.
+    // Correctness: the dispatching kernel agrees on every one of the 256 masks.
     let mut disagreements = 0;
     for bits in 0u32..256 {
         let mut m = [false; 8];
@@ -36,10 +37,10 @@ fn main() {
         }
         let (mut a, mut b) = (Vec::new(), Vec::new());
         compact_append(&mut a, &children, &Mask(m));
-        compact_append_u32x8(&mut b, &children, &Mask(m));
+        compact_append_i64(&mut b, &children, &Mask(m));
         disagreements += usize::from(a != b);
     }
-    println!("AVX2 vs scalar across all 256 masks: {disagreements} disagreements");
+    println!("vector vs scalar across all 256 masks: {disagreements} disagreements");
 
     // Throughput comparison.
     const ROUNDS: usize = 2_000_000;
@@ -53,12 +54,12 @@ fn main() {
     out.clear();
     let t = Instant::now();
     for _ in 0..ROUNDS {
-        compact_append_u32x8(&mut out, &children, &survivors);
+        compact_append_i64(&mut out, &children, &survivors);
     }
     let simd_t = t.elapsed();
     assert_eq!(out.len(), kept);
     println!(
-        "\n{} compactions of 8 lanes: scalar {scalar_t:?}, avx2 {simd_t:?} ({:.2}x)",
+        "\n{} compactions of 8 lanes: scalar {scalar_t:?}, vector {simd_t:?} ({:.2}x)",
         ROUNDS,
         scalar_t.as_secs_f64() / simd_t.as_secs_f64()
     );

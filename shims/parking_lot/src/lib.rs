@@ -2,11 +2,10 @@
 //!
 //! The build environment has no access to crates.io, so the workspace
 //! vendors the few primitives the runtime needs: a non-poisoning [`Mutex`]
-//! and a [`Condvar`] whose `wait`/`wait_for` take the guard by `&mut`
-//! (parking_lot style) rather than by value (std style).
+//! and a [`Condvar`] whose `wait` takes the guard by `&mut` (parking_lot
+//! style) rather than by value (std style).
 
 use std::sync;
-use std::time::Duration;
 
 /// A mutual-exclusion lock that never poisons: a panic while holding the
 /// lock simply releases it, like `parking_lot::Mutex`.
@@ -75,19 +74,6 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Result of a timed wait: reports whether the wait ended by timeout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// True when the wait returned because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
 /// Condition variable matching the `parking_lot` calling convention.
 pub struct Condvar {
     inner: sync::Condvar,
@@ -104,20 +90,6 @@ impl Condvar {
         let std_guard = guard.inner.take().expect("guard present");
         let std_guard = self.inner.wait(std_guard).unwrap_or_else(sync::PoisonError::into_inner);
         guard.inner = Some(std_guard);
-    }
-
-    /// Block until notified or `timeout` elapses.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> WaitTimeoutResult {
-        let std_guard = guard.inner.take().expect("guard present");
-        let (std_guard, res) = match self.inner.wait_timeout(std_guard, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(poisoned) => {
-                let (g, r) = poisoned.into_inner();
-                (g, r)
-            }
-        };
-        guard.inner = Some(std_guard);
-        WaitTimeoutResult { timed_out: res.timed_out() }
     }
 
     /// Wake one parked waiter. Returns whether a thread could have been woken.
@@ -172,15 +144,6 @@ mod tests {
         }
         t.join().unwrap();
         assert!(*g);
-    }
-
-    #[test]
-    fn wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let r = cv.wait_for(&mut g, Duration::from_millis(5));
-        assert!(r.timed_out());
     }
 
     #[test]

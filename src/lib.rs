@@ -14,9 +14,10 @@
 //!   splits it on demand, stops it on cancel and parks it on preemption,
 //!   machine-model statistics;
 //! * [`runtime`] (`tb-runtime`) — the Cilk-style child-stealing runtime
-//!   (`join`, the hungry-thief signal, the segmented unbounded injector);
+//!   (`join`, the hungry-thief signal, the unbounded injector idle
+//!   workers sleep on);
 //! * [`service`] (`tb-service`) — the persistent multi-tenant front-end:
-//!   one shared pool, job handles, bulk submission, per-tenant admission
+//!   one shared pool, job handles, per-tenant admission
 //!   and backpressure, preemptible jobs that split and park (every
 //!   submission names its tenant; the prelude carries `DEFAULT_TENANT`
 //!   for code that has none);

@@ -321,14 +321,12 @@ fn shared_leveled_deque_steal_half_storm_conserves_tasks() {
 }
 
 #[test]
-fn segmented_injector_100k_jobs_from_8_threads_conserves_every_job() {
-    // The PR 3 injector-full regression guard: 100 000 jobs pushed from 8
-    // producer threads through the segmented unbounded injector while 3
-    // consumers drain it. Conservation: every pushed token is delivered
-    // exactly once (count and value-sum both match), and — the property
-    // the segmented design exists for — no producer ever waited on
-    // capacity. Run in debug AND `--release`; optimized codegen reorders
-    // more aggressively and is where the segment hand-off would break.
+fn injector_100k_jobs_from_8_threads_conserves_every_job() {
+    // The injector-full regression guard: 100 000 jobs pushed from 8
+    // producer threads through the unbounded injector while 3 consumers
+    // drain it. Conservation: every pushed token is delivered exactly once
+    // (count and value-sum both match), and no producer ever waited on
+    // capacity.
     const PRODUCERS: u64 = 8;
     const PER_PRODUCER: u64 = 12_500; // 8 × 12.5k = 100k jobs
     const TOTAL: u64 = PRODUCERS * PER_PRODUCER;
@@ -367,7 +365,58 @@ fn segmented_injector_100k_jobs_from_8_threads_conserves_every_job() {
     assert!(inj.is_empty());
     let m = inj.metrics();
     assert_eq!(m.full_waits, 0, "unbounded injector must never block a submission on capacity");
-    assert!(m.segments_allocated >= 2, "100k jobs crossed many segment boundaries");
+}
+
+#[test]
+fn parked_pool_wakes_for_every_kind_of_submission() {
+    // Idle workers sleep with no timeout, so a lost wake-up is a hang, not
+    // a 500 µs hiccup. Each round lets both workers fall asleep, then
+    // submits one of the three things that must wake them: an injector
+    // `spawn` (wakes one), an injector `install` (wakes all), and a job
+    // that hands a follow-on to its own worker's deque (`WorkerCtx::spawn`).
+    use std::sync::mpsc;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+    const ROUNDS: usize = 500;
+    const LIMIT: Duration = Duration::from_secs(2);
+    let pool = Arc::new(ThreadPool::new(2));
+    for round in 0..ROUNDS {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while pool.load().active_workers != 0 {
+            assert!(Instant::now() < deadline, "round {round}: workers never fell asleep");
+            std::thread::yield_now();
+        }
+        // `unwrap_or`: after a failed round nobody is left to hear a late reply.
+        let (tx, rx) = mpsc::channel::<()>();
+        let mut installer = None;
+        let case = match round % 3 {
+            0 => {
+                pool.spawn(move |_| tx.send(()).unwrap_or(()));
+                "spawn"
+            }
+            1 => {
+                // `install` blocks its caller, so it runs on a thread of its
+                // own and the 2 s limit is kept by the channel.
+                let pool = Arc::clone(&pool);
+                installer = Some(std::thread::spawn(move || {
+                    pool.install(|_| ());
+                    tx.send(()).unwrap_or(());
+                }));
+                "install"
+            }
+            _ => {
+                pool.spawn(move |ctx| ctx.spawn(move |_| tx.send(()).unwrap_or(())));
+                "follow-on"
+            }
+        };
+        assert!(
+            rx.recv_timeout(LIMIT).is_ok(),
+            "round {round}: {case} into a parked pool took over {LIMIT:?}"
+        );
+        if let Some(installer) = installer {
+            installer.join().expect("install thread panicked");
+        }
+    }
 }
 
 #[test]
