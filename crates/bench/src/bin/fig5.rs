@@ -2,7 +2,9 @@
 //! 1-worker Cilk baseline) as a function of worker count, at the small
 //! block size 2^5 where the schedulers' utilization gap matters, for the
 //! six benchmarks the paper plots — `scalar` (the input Cilk program),
-//! `reexp`, and `restart`.
+//! `reexp`, and `restart`, both blocked variants on the pool scheduler that
+//! splits on demand. Each cell also reports the run's `max_deque_tasks`,
+//! the memory side of the block size.
 
 use tb_bench::{HarnessArgs, TableSink};
 use tb_core::prelude::SchedConfig;
@@ -26,40 +28,38 @@ fn main() {
     let mut sink = TableSink::new(
         &args.out_dir,
         &format!("fig5_{}", args.scale_name()),
-        &["benchmark", "variant", "workers", "speedup_vs_1w_cilk"],
+        &["benchmark", "variant", "workers", "speedup_vs_1w_cilk", "max_deque_tasks"],
     );
     for name in FIG5_BENCHES {
         if !args.selected(name) {
             continue;
         }
         let b = benchmark_by_name(name, args.scale).expect("known benchmark");
-        let reexp = SchedConfig::reexpansion(args.bench_q(b.q()), BLOCK);
-        let restart = SchedConfig::restart(args.bench_q(b.q()), BLOCK, BLOCK);
+        let reexp_cfg = SchedConfig::reexpansion(args.bench_q(b.q()), BLOCK);
+        let restart_cfg = SchedConfig::restart(args.bench_q(b.q()), BLOCK, BLOCK);
         let base = {
             let pool = ThreadPool::new(1);
             b.cilk(&pool).stats.wall.as_secs_f64()
         };
         for &w in &worker_grid {
             let pool = ThreadPool::new(w);
-            let scalar = base / b.cilk(&pool).stats.wall.as_secs_f64();
-            let x =
-                base / b.blocked_par(&pool, reexp, SchedulerKind::Par, Tier::Simd).stats.wall.as_secs_f64();
-            // The §3.4 restart scheduler the theory analyzes…
-            let r = base
-                / b.blocked_par(&pool, restart, SchedulerKind::RestartIdeal, Tier::Simd)
-                    .stats
-                    .wall
-                    .as_secs_f64();
-            // …and restart on the shared pool (sequential engines that
-            // split on demand), in the column the paper gives its §6
-            // Cilk-embeddable simplification.
-            let rs =
-                base / b.blocked_par(&pool, restart, SchedulerKind::Par, Tier::Simd).stats.wall.as_secs_f64();
-            for (variant, s) in [("scalar", scalar), ("reexp", x), ("restart", r), ("restart-simplified", rs)]
-            {
-                sink.row(vec![name.to_string(), variant.into(), w.to_string(), format!("{s:.2}")]);
+            let scalar = b.cilk(&pool).stats;
+            let reexp = b.blocked_par(&pool, reexp_cfg, SchedulerKind::Par, Tier::Simd).stats;
+            let restart = b.blocked_par(&pool, restart_cfg, SchedulerKind::Par, Tier::Simd).stats;
+            let mut line = format!("{name:>11} w={w:<2}");
+            for (variant, stats) in [("scalar", scalar), ("reexp", reexp), ("restart", restart)] {
+                let speedup = base / stats.wall.as_secs_f64();
+                let deque = stats.max_deque_tasks;
+                sink.row(vec![
+                    name.to_string(),
+                    variant.into(),
+                    w.to_string(),
+                    format!("{speedup:.2}"),
+                    deque.to_string(),
+                ]);
+                line += &format!(" {variant}={speedup:6.2} (deque {deque:>7})");
             }
-            println!("{name:>11} w={w:<2} scalar={scalar:6.2} reexp={x:6.2} restart={r:6.2} restart-simpl={rs:6.2}");
+            println!("{line}");
         }
         println!();
     }

@@ -6,10 +6,9 @@
 //! one track per worker thread, duration spans for spec-tier execution,
 //! async spans for jobs crossing park/resume, instants for everything else.
 //!
-//! `<variant>` is `basic` (§3.1, on the pool scheduler that splits on
-//! demand), `restart` (`ParRestartIdeal`, §3.4) or `adaptive` (the grain
-//! ramp, on the same pool scheduler as `basic`); `--smoke` runs the tiny
-//! input.
+//! `<variant>` is the policy the pool scheduler that splits on demand runs:
+//! `basic` (§3.1), `restart` (§3.3) or `adaptive` (the grain ramp);
+//! `--smoke` runs the tiny input.
 //! The file is self-validated with `tb_bench::trace_check` and the command
 //! exits 1 if its own output fails the checker, 2 on a usage error.
 
@@ -63,16 +62,16 @@ fn run(args: &TraceArgs) -> Result<(), (i32, String)> {
     let scale = if args.smoke { Scale::Tiny } else { Scale::Small };
     let b = benchmark_by_name(&args.bench, scale)
         .ok_or_else(|| (2, format!("unknown benchmark {:?}\n{USAGE}", args.bench)))?;
-    let (cfg, kind) = match args.variant.as_str() {
-        "basic" => (SchedConfig::basic(b.q(), T_DFE), SchedulerKind::Par),
-        "restart" => (SchedConfig::restart(b.q(), T_DFE, T_RESTART), SchedulerKind::RestartIdeal),
-        "adaptive" => (SchedConfig::adaptive(b.q()), SchedulerKind::Par),
+    let cfg = match args.variant.as_str() {
+        "basic" => SchedConfig::basic(b.q(), T_DFE),
+        "restart" => SchedConfig::restart(b.q(), T_DFE, T_RESTART),
+        "adaptive" => SchedConfig::adaptive(b.q()),
         other => return Err((2, format!("unknown variant {other:?}\n{USAGE}"))),
     };
 
     tb_obs::set_enabled(true);
     let pool = ThreadPool::new(args.workers);
-    let summary = b.blocked_par(&pool, cfg.with_trace(true), kind, Tier::Block);
+    let summary = b.blocked_par(&pool, cfg.with_trace(true), SchedulerKind::Par, Tier::Block);
     tb_obs::set_enabled(false);
     let snapshot = tb_obs::metrics_snapshot();
     let tracks = tb_obs::drain_all();

@@ -15,10 +15,11 @@
 //!
 //! * [`LeveledDeque`] — the plain single-threaded structure the sequential
 //!   engine owns;
-//! * [`SharedLeveledDeque`] — the same deque behind a mutex, one per
-//!   worker of [`ParRestartIdeal`](crate::par::ParRestartIdeal). Thieves
-//!   `try_lock` it and take the shallowest level whole — both its blocks,
-//!   the §3.4 steal-half unit. See DESIGN.md §6.2 for why a lock suffices.
+//! * [`SharedLeveledDeque`] — the same deque behind a mutex, which any
+//!   thread may use. An owner parks and takes levels; a thief `try_lock`s
+//!   it and takes the shallowest level whole — both its blocks, the §3.4
+//!   steal-half unit. No scheduler runs on it: it is kept as the measured
+//!   layer of the leveled deque (DESIGN.md §6.2).
 
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
@@ -195,12 +196,11 @@ impl<S: TaskStore> LeveledDeque<S> {
         }
     }
 
-    /// The bottom-up merge-scan behind both [`find_restart`](Self::find_restart)
-    /// and [`SharedLeveledDeque::find_restart_full`]: every scanned level's
-    /// two slots are merged into its restart slot, and the first level
-    /// reaching `t_restart` tasks is removed and returned. On failure
-    /// everything stays parked and the shallowest occupied level (if any)
-    /// comes back as the error.
+    /// The bottom-up merge-scan behind [`find_restart`](Self::find_restart):
+    /// every scanned level's two slots are merged into its restart slot,
+    /// and the first level reaching `t_restart` tasks is removed and
+    /// returned. On failure everything stays parked and the shallowest
+    /// occupied level (if any) comes back as the error.
     fn merge_scan(&mut self, t_restart: usize, merges: &mut u64) -> Result<TaskBlock<S>, Option<usize>> {
         let mut shallowest: Option<usize> = None;
         for level in (0..self.levels.len()).rev() {
@@ -489,14 +489,9 @@ pub struct StolenLevel<S> {
 }
 
 /// A [`LeveledDeque`] any thread may use: every method takes the deque's
-/// mutex and delegates to the sequential structure.
-///
-/// The owner takes the lock once per block it parks or assembles, and
-/// each such block carries at least `t_restart` tasks of work (or ends a
-/// chain that did); a thief takes it once per probe with `try_lock` and
-/// gives up when the owner holds it — a failed steal is always allowed in
-/// §3.4. So the lock is uncontended on the owner's path and never waited
-/// on by a thief.
+/// mutex and delegates to the sequential structure. A thief takes it once
+/// per probe with `try_lock` and gives up when another thread holds it —
+/// a failed steal is always allowed in §3.4 — so a thief never waits.
 #[derive(Default)]
 pub struct SharedLeveledDeque<S> {
     inner: Mutex<LeveledDeque<S>>,
@@ -516,52 +511,16 @@ impl<S: TaskStore> SharedLeveledDeque<S> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// `(blocks, tasks)` parked.
-    pub fn counts(&self) -> (usize, usize) {
-        let d = self.lock();
-        (d.block_count(), d.task_count())
-    }
-
-    /// Number of parked blocks.
-    pub fn block_count(&self) -> usize {
-        self.lock().block_count()
-    }
-
-    /// Number of parked tasks.
-    pub fn task_count(&self) -> usize {
-        self.lock().task_count()
-    }
-
-    /// True when no block is parked.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
     /// Park a DFE-leftover block at its level, merging with any DFE block
     /// already parked there; returns `true` when a merge happened.
     pub fn push_dfe(&self, block: TaskBlock<S>) -> bool {
         self.lock().push_dfe(block)
     }
 
-    /// Park a restart-leftover block at its level, merging with any restart
-    /// block already parked there; returns `true` when a merge happened.
-    pub fn push_restart(&self, block: TaskBlock<S>) -> bool {
-        self.lock().push_restart(block)
-    }
-
     /// Remove and return the merged contents of `level` (both slots), if
-    /// any (the BFE burst absorbing its own leftovers).
+    /// any.
     pub fn take_level(&self, level: usize) -> Option<TaskBlock<S>> {
         self.lock().take_level(level)
-    }
-
-    /// The §3.4 merge-scan: walk from the deepest level toward the top,
-    /// merging each level's two slots; the first level reaching `t_restart`
-    /// tasks is removed and returned for DFE. On failure everything stays
-    /// parked and `None` is returned — the worker then *steals*. Each merge
-    /// performed is reported through `merges`.
-    pub fn find_restart_full(&self, t_restart: usize, merges: &mut u64) -> Option<TaskBlock<S>> {
-        self.lock().merge_scan(t_restart, merges).ok()
     }
 
     /// Steal the shallowest occupied level — both its blocks. The preferred
@@ -596,6 +555,31 @@ mod shared_tests {
     use std::sync::atomic::Ordering;
 
     use super::*;
+
+    /// The engine deque's owner-side operations, taken under the lock, so
+    /// the tests below can park restart blocks and scan while thieves
+    /// `steal_half`.
+    impl<S: TaskStore> SharedLeveledDeque<S> {
+        fn push_restart(&self, block: TaskBlock<S>) -> bool {
+            self.lock().push_restart(block)
+        }
+
+        fn find_restart_full(&self, t_restart: usize, merges: &mut u64) -> Option<TaskBlock<S>> {
+            self.lock().merge_scan(t_restart, merges).ok()
+        }
+
+        fn block_count(&self) -> usize {
+            self.lock().block_count()
+        }
+
+        fn task_count(&self) -> usize {
+            self.lock().task_count()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.lock().is_empty()
+        }
+    }
 
     fn blk(level: usize, n: usize) -> TaskBlock<Vec<u32>> {
         TaskBlock::new(level, (0..n as u32).collect())
@@ -741,6 +725,17 @@ mod shared_tests {
         assert_eq!(d.find_restart_full(4, &mut merges).unwrap().level, 12);
         assert!(d.find_restart_full(4, &mut merges).is_none());
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn steal_half_gives_up_on_a_held_lock() {
+        let d: SharedLeveledDeque<Vec<u32>> = SharedLeveledDeque::new();
+        d.push_dfe(blk(2, 5));
+        {
+            let _owner = d.lock();
+            assert!(d.steal_half(1).is_none(), "a thief never waits for the lock");
+        }
+        assert_eq!(d.steal_half(1).map(|loot| loot.primary.len()), Some(5), "the level is still there");
     }
 
     #[test]

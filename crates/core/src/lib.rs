@@ -32,11 +32,7 @@
 //! runs every policy; the [`par`] module takes it multicore by splitting
 //! its frontier whenever a work-stealing thief is hungry — through
 //! [`drive`], the one superstep seam, which also stops a run whose
-//! [`CancelToken`] fired and parks one whose preempt flag is set — plus
-//! the §3.4
-//! reference scheduler the theory analyses, whose workers steal whole levels
-//! from each other's [`SharedLeveledDeque`]s — the engine's
-//! [`LeveledDeque`] behind a lock.
+//! [`CancelToken`] fired and parks one whose preempt flag is set.
 //!
 //! ## Plugging in a program
 //!
@@ -76,8 +72,8 @@
 //!
 //! Passing a [`tb_runtime::ThreadPool`] to the same [`run_policy`] call
 //! runs the same policy on the pool, splitting on demand; [`run_scheduler`]
-//! picks one of the three implementations explicitly. See the
-//! [`scheduler`] module for the trait behind both.
+//! picks the implementation explicitly. See the [`scheduler`] module for
+//! the trait behind both.
 
 pub mod block;
 pub mod cancel;
@@ -96,7 +92,7 @@ pub use deque::{LeveledDeque, RestartFind, SharedLeveledDeque, StolenLevel};
 pub use par::{drive, Outcome, Seam};
 pub use policy::{GrainController, PolicyKind, SchedConfig};
 pub use program::{merge_sum, BlockProgram, BucketSet, ProgramShape, RunOutput};
-pub use scheduler::{run_policy, run_scheduler, run_scheduler_on, Scheduler, SchedulerKind};
+pub use scheduler::{run_policy, run_scheduler, Scheduler, SchedulerKind};
 pub use seq::{run_depth_first, SeqFrontier, SeqScheduler, StepEvent};
 pub use stats::ExecStats;
 
@@ -104,10 +100,10 @@ pub use stats::ExecStats;
 pub mod prelude {
     pub use crate::block::{TaskBlock, TaskStore};
     pub use crate::cancel::CancelToken;
-    pub use crate::par::{drive, Outcome, ParRestartIdeal, ParSplit, Seam};
+    pub use crate::par::{drive, Outcome, ParSplit, Seam};
     pub use crate::policy::{GrainController, PolicyKind, SchedConfig};
     pub use crate::program::{merge_sum, BlockProgram, BucketSet, ProgramShape, RunOutput};
-    pub use crate::scheduler::{run_policy, run_scheduler, run_scheduler_on, Scheduler, SchedulerKind};
+    pub use crate::scheduler::{run_policy, run_scheduler, Scheduler, SchedulerKind};
     pub use crate::seq::{run_depth_first, SeqFrontier, SeqScheduler, StepEvent};
     pub use crate::stats::ExecStats;
 }

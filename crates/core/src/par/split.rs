@@ -276,6 +276,31 @@ mod tests {
         }
     }
 
+    #[test]
+    fn empty_root_is_fine() {
+        struct Nothing;
+        impl BlockProgram for Nothing {
+            type Store = Vec<u8>;
+            type Reducer = u64;
+            fn arity(&self) -> usize {
+                1
+            }
+            fn make_root(&self) -> Vec<u8> {
+                Vec::new()
+            }
+            fn make_reducer(&self) -> u64 {
+                0
+            }
+            fn merge_reducers(&self, _: &mut u64, _: u64) {}
+            fn expand(&self, _: &mut Vec<u8>, _: &mut BucketSet<Vec<u8>>, _: &mut u64) {}
+        }
+        for workers in [1usize, 3] {
+            let out = ParSplit::new(&Nothing, SchedConfig::restart(4, 64, 16)).run(&ThreadPool::new(workers));
+            assert_eq!(out.reducer, 0);
+            assert_eq!(out.stats.tasks_executed, 0, "{workers} workers");
+        }
+    }
+
     /// Count the leaves of a depth-n binary tree: 2^n leaves, 2^(n+1) - 1
     /// tasks.
     struct Tree(u32);

@@ -47,7 +47,10 @@ impl PolicyKind {
 /// * `t_dfe` — upper block-size trigger: a scheduler in its breadth-first
 ///   phase switches to DFE when a block reaches `t_dfe` tasks. The paper
 ///   writes `t_dfe = kQ`; a block can transiently hold up to
-///   `arity × t_dfe` tasks right after the triggering BFE.
+///   `arity × t_dfe` tasks right after the triggering BFE. It is a mode
+///   threshold, not a block cap: the engine strip-mines the root, and
+///   cuts any block of `2·S` tasks or more, at `S = max(t_dfe, 1024)`
+///   tasks.
 /// * `t_bfe` — re-expansion trigger (`ReExpansion` only): a block smaller
 ///   than this is executed with BFE to regrow parallelism. The theory wants
 ///   `t_bfe ≈ t_dfe` (§4.1), which is the default.
@@ -97,12 +100,6 @@ pub struct SchedConfig {
     pub t_bfe: usize,
     /// Restart threshold (`Restart`; `Q ≤ t_restart ≤ t_dfe` recommended).
     pub t_restart: usize,
-    /// Number of consecutive BFE actions a restart scheduler performs on a
-    /// too-small top block before rescanning ("a constant number of BFE
-    /// actions", §3.4). Sequentially this bounds a BFE burst; 0 means
-    /// "until `t_restart` is reached" on the sequential engine (and so on
-    /// `Par`), but 4 (`DEFAULT_BFE_BURST`) under `ParRestartIdeal`.
-    pub restart_bfe_burst: usize,
     /// Record scheduler-seam events (superstep boundaries, restart
     /// triggers, park/resume) into `tb-obs` rings. Default off; even when
     /// on, events only flow if tracing is also enabled globally
@@ -115,16 +112,8 @@ pub struct SchedConfig {
 impl SchedConfig {
     /// Basic scheduler: BFE until `t_dfe`, then DFE only.
     pub fn basic(q: usize, t_dfe: usize) -> Self {
-        SchedConfig {
-            policy: PolicyKind::Basic,
-            q,
-            t_dfe,
-            t_bfe: t_dfe,
-            t_restart: 0,
-            restart_bfe_burst: 0,
-            trace: false,
-        }
-        .validated()
+        SchedConfig { policy: PolicyKind::Basic, q, t_dfe, t_bfe: t_dfe, t_restart: 0, trace: false }
+            .validated()
     }
 
     /// Re-expansion scheduler with `t_bfe = t_dfe` (the theory-recommended
@@ -135,16 +124,8 @@ impl SchedConfig {
 
     /// Re-expansion scheduler with an explicit `t_bfe ≤ t_dfe`.
     pub fn reexpansion_with(q: usize, t_dfe: usize, t_bfe: usize) -> Self {
-        SchedConfig {
-            policy: PolicyKind::ReExpansion,
-            q,
-            t_dfe,
-            t_bfe,
-            t_restart: 0,
-            restart_bfe_burst: 0,
-            trace: false,
-        }
-        .validated()
+        SchedConfig { policy: PolicyKind::ReExpansion, q, t_dfe, t_bfe, t_restart: 0, trace: false }
+            .validated()
     }
 
     /// Adaptive scheduler: no hand-tuned cutoffs. The only parameter is
@@ -184,31 +165,15 @@ impl SchedConfig {
     /// ```
     pub fn adaptive(q: usize) -> Self {
         let cap = q.max(1) << GrainController::CAP_SHIFT;
-        SchedConfig {
-            policy: PolicyKind::Adaptive,
-            q,
-            t_dfe: cap,
-            t_bfe: cap,
-            t_restart: 0,
-            restart_bfe_burst: 0,
-            trace: false,
-        }
-        .validated()
+        SchedConfig { policy: PolicyKind::Adaptive, q, t_dfe: cap, t_bfe: cap, t_restart: 0, trace: false }
+            .validated()
     }
 
     /// Restart scheduler with restart threshold `t_restart` (the paper's
     /// "RB size").
     pub fn restart(q: usize, t_dfe: usize, t_restart: usize) -> Self {
-        SchedConfig {
-            policy: PolicyKind::Restart,
-            q,
-            t_dfe,
-            t_bfe: t_dfe,
-            t_restart,
-            restart_bfe_burst: 0,
-            trace: false,
-        }
-        .validated()
+        SchedConfig { policy: PolicyKind::Restart, q, t_dfe, t_bfe: t_dfe, t_restart, trace: false }
+            .validated()
     }
 
     /// The same config with scheduler-seam event tracing switched on.
@@ -364,8 +329,7 @@ mod tests {
         assert_eq!(cfg.policy, PolicyKind::Adaptive);
         assert_eq!(cfg.t_dfe, 8 << GrainController::CAP_SHIFT);
         assert_eq!(cfg.t_restart, 0);
-        // Switching to a fixed policy still validates (the §3.4 reference
-        // coerces every config it is handed to restart).
+        // Switching to a fixed policy still validates.
         let r = cfg.with_policy(PolicyKind::Restart);
         assert_eq!(r.t_restart, 8);
     }

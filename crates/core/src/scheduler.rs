@@ -1,39 +1,36 @@
-//! One driving surface for all three schedulers.
+//! One driving surface for both schedulers.
 //!
-//! The framework ships three scheduler implementations — the sequential
-//! engine ([`SeqScheduler`]), the pool scheduler that runs that engine
-//! under any policy and splits it on demand ([`ParSplit`]), and the §3.4
-//! reference the theory analyses ([`ParRestartIdeal`]). Everything that
-//! *drives* schedulers — the benchmark suite, the figure/table harness
-//! binaries, the examples, the equivalence tests — only needs "run this
-//! program under that policy on these cores", so this module provides
-//! exactly that:
+//! The framework ships two scheduler implementations — the sequential
+//! engine ([`SeqScheduler`]) and the pool scheduler that runs that engine
+//! under any policy and splits it on demand ([`ParSplit`]). Everything
+//! that *drives* schedulers — the benchmark suite, the figure/table
+//! harness binaries, the examples, the equivalence tests — only needs
+//! "run this program under that policy on these cores", so this module
+//! provides exactly that:
 //!
-//! * [`Scheduler`] — the uniform trait, implemented by all three types:
-//!   a name for tables, the [`SchedConfig`] it runs with, and
+//! * [`Scheduler`] — the uniform trait, implemented by both types: a name
+//!   for tables, the [`SchedConfig`] it runs with, and
 //!   [`Scheduler::run_with`] taking an optional [`ThreadPool`];
-//! * [`SchedulerKind`] — a value-level selector for the three
+//! * [`SchedulerKind`] — a value-level selector for the two
 //!   implementations, so harness code can iterate over them;
 //! * [`run_policy`] — the one-call dispatcher: sequential when no pool is
 //!   given, [`ParSplit`] under the config's own policy when one is;
-//! * [`run_scheduler`] — the explicit-kind variant for callers that need
-//!   the §3.4 reference as well.
+//! * [`run_scheduler`] — the explicit-kind variant.
 //!
-//! Only the §3.4 reference rewrites `cfg.policy` (to restart). Downstream code
-//! should come through these entry points; naming the concrete scheduler
-//! types is reserved for scheduler-specific unit tests (e.g. tests that
-//! drive [`SeqScheduler::step`] one event at a time).
+//! Neither scheduler rewrites `cfg.policy`. Downstream code should come
+//! through these entry points; naming the concrete scheduler types is
+//! reserved for scheduler-specific unit tests (e.g. tests that drive
+//! [`SeqScheduler::step`] one event at a time).
 
 use tb_runtime::ThreadPool;
 
-use crate::par::{ParRestartIdeal, ParSplit};
+use crate::par::ParSplit;
 use crate::policy::SchedConfig;
 use crate::program::{BlockProgram, RunOutput};
 use crate::seq::SeqScheduler;
 
-/// The three scheduler implementations, as a value. `Seq` and `Par` honour
-/// `cfg.policy` (basic / re-expansion / restart / adaptive) exactly;
-/// `RestartIdeal` is a restart scheduler by definition.
+/// The two scheduler implementations, as a value. Both honour
+/// `cfg.policy` (basic / re-expansion / restart / adaptive) exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// Single-core engine ([`SeqScheduler`]).
@@ -41,16 +38,12 @@ pub enum SchedulerKind {
     /// The sequential engine on the work-stealing pool, splitting its
     /// frontier only when a thief is hungry ([`ParSplit`]).
     Par,
-    /// §3.4: ideal restart on dedicated workers with stealable leveled
-    /// deques (the formulation the theory analyses; the policy field is
-    /// coerced to `Restart`).
-    RestartIdeal,
 }
 
 #[allow(non_upper_case_globals)]
 impl SchedulerKind {
-    /// All three kinds, sequential first.
-    pub const ALL: [SchedulerKind; 3] = [SchedulerKind::Seq, SchedulerKind::Par, SchedulerKind::RestartIdeal];
+    /// Both kinds, sequential first.
+    pub const ALL: [SchedulerKind; 2] = [SchedulerKind::Seq, SchedulerKind::Par];
 
     /// Former name of [`SchedulerKind::Par`] under the restart policy,
     /// kept so pinned callers compile; a name, not a second path.
@@ -67,17 +60,16 @@ impl SchedulerKind {
         match self {
             SchedulerKind::Seq => "seq",
             SchedulerKind::Par => "par",
-            SchedulerKind::RestartIdeal => "par-restart-ideal",
         }
     }
 
-    /// True for the multicore schedulers.
+    /// True for the multicore scheduler.
     pub fn is_parallel(self) -> bool {
         self != SchedulerKind::Seq
     }
 }
 
-/// Uniform driver interface over the three schedulers.
+/// Uniform driver interface over the two schedulers.
 ///
 /// A `Scheduler` is a program paired with a [`SchedConfig`]; `run_with`
 /// executes it to completion and returns the merged reduction plus
@@ -86,9 +78,7 @@ impl SchedulerKind {
 ///
 /// * [`SeqScheduler`] ignores it (always single-core);
 /// * [`ParSplit`] runs on it, or on an ephemeral pool sized to the
-///   machine when `None` is given;
-/// * [`ParRestartIdeal`] runs on its own dedicated threads, sized to the
-///   pool if one is given (it only borrows the *count*, never the threads).
+///   machine when `None` is given.
 pub trait Scheduler<P: BlockProgram> {
     /// Short name for tables and figures.
     fn name(&self) -> &'static str;
@@ -118,7 +108,7 @@ pub(crate) fn default_workers() -> usize {
 /// same policy, split across workers on demand.
 ///
 /// This is the entry point benchmarks, harness binaries and examples
-/// should use; see [`run_scheduler`] for the §3.4 reference scheduler.
+/// should use; see [`run_scheduler`] to name the implementation instead.
 ///
 /// # Examples
 ///
@@ -185,10 +175,7 @@ pub fn run_policy<P: BlockProgram>(
 ///
 /// # Examples
 ///
-/// All three implementations agree on the reduction; under restart you
-/// can choose between the pool-resident engine that splits on demand and
-/// the §3.4 ideal scheduler (locked, stealable leveled deques) the
-/// theory analyses:
+/// Both implementations agree on the reduction:
 ///
 /// ```
 /// use tb_core::prelude::*;
@@ -228,34 +215,6 @@ pub fn run_scheduler<P: BlockProgram>(
     match kind {
         SchedulerKind::Seq => SeqScheduler::new(prog, cfg).run_with(pool),
         SchedulerKind::Par => ParSplit::new(prog, cfg).run_with(pool),
-        SchedulerKind::RestartIdeal => {
-            // Resolve the worker count here (not via default_workers()
-            // unconditionally): with a pool supplied this stays syscall-free,
-            // which matters inside timed benchmark loops.
-            let workers = pool.map_or_else(default_workers, ThreadPool::threads);
-            ParRestartIdeal::new(prog, cfg, workers).run_with(pool)
-        }
-    }
-}
-
-/// Like [`run_scheduler`], but parameterised by a worker *count* instead of
-/// a pool. Callers that only sweep parallelism degrees (the theory harness,
-/// property tests) should use this: [`SchedulerKind::RestartIdeal`] runs on
-/// its own dedicated threads, so handing it a pool would spawn `workers`
-/// pool threads that only park.
-pub fn run_scheduler_on<P: BlockProgram>(
-    kind: SchedulerKind,
-    prog: &P,
-    cfg: SchedConfig,
-    workers: usize,
-) -> RunOutput<P::Reducer> {
-    match kind {
-        SchedulerKind::Seq => SeqScheduler::new(prog, cfg).run(),
-        SchedulerKind::Par => {
-            let pool = ThreadPool::new(workers);
-            run_scheduler(kind, prog, cfg, Some(&pool))
-        }
-        SchedulerKind::RestartIdeal => ParRestartIdeal::new(prog, cfg, workers).run(),
     }
 }
 
@@ -339,10 +298,8 @@ mod tests {
     #[test]
     fn parallel_kinds_work_without_a_pool() {
         for cfg in every_policy() {
-            for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
-                let out = run_scheduler(kind, &Fib(16), cfg, None);
-                assert_eq!(out.reducer, 987, "{kind:?} {:?}", cfg.policy);
-            }
+            let out = run_scheduler(SchedulerKind::Par, &Fib(16), cfg, None);
+            assert_eq!(out.reducer, 987, "{:?}", cfg.policy);
         }
     }
 
@@ -351,8 +308,7 @@ mod tests {
         assert_eq!(SchedulerKind::Seq.name(), "seq");
         assert!(!SchedulerKind::Seq.is_parallel());
         assert!(SchedulerKind::Par.is_parallel());
-        assert!(SchedulerKind::RestartIdeal.is_parallel());
-        assert_eq!(SchedulerKind::ALL.len(), 3);
+        assert_eq!(SchedulerKind::ALL, [SchedulerKind::Seq, SchedulerKind::Par]);
         // The pinned former names are the one pool kind, not new paths.
         assert_eq!(SchedulerKind::RestartSimplified, SchedulerKind::Par);
         assert_eq!(SchedulerKind::Adaptive, SchedulerKind::Par);
@@ -397,22 +353,17 @@ mod tests {
 
     #[test]
     fn a_panicking_task_propagates_instead_of_hanging() {
-        for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let cfg = SchedConfig::restart(4, 64, 16);
-                let run = std::panic::catch_unwind(|| run_scheduler_on(kind, &PanicsAt17, cfg, 2));
-                let _ = tx.send(run.err().and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string())));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let cfg = SchedConfig::restart(4, 64, 16);
+            let run = std::panic::catch_unwind(|| {
+                run_scheduler(SchedulerKind::Par, &PanicsAt17, cfg, Some(&ThreadPool::new(2)))
             });
-            let payload = rx
-                .recv_timeout(std::time::Duration::from_secs(10))
-                .unwrap_or_else(|_| panic!("{kind:?}: the run hung after a task panicked"));
-            assert_eq!(
-                payload.as_deref(),
-                Some("task 17 failed"),
-                "{kind:?}: the original panic is re-raised"
-            );
-        }
+            let _ = tx.send(run.err().and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string())));
+        });
+        let payload =
+            rx.recv_timeout(std::time::Duration::from_secs(10)).expect("the run hung after a task panicked");
+        assert_eq!(payload.as_deref(), Some("task 17 failed"), "the original panic is re-raised");
     }
 
     #[test]
@@ -421,8 +372,7 @@ mod tests {
         let cfg = SchedConfig::restart(4, 32, 8);
         let seq = SeqScheduler::new(&prog, cfg);
         let split = ParSplit::new(&prog, cfg);
-        let ideal = ParRestartIdeal::new(&prog, cfg, 2);
-        let schedulers: [&dyn Scheduler<Fib>; 3] = [&seq, &split, &ideal];
+        let schedulers: [&dyn Scheduler<Fib>; 2] = [&seq, &split];
         let pool = ThreadPool::new(2);
         for s in schedulers {
             assert_eq!(s.run_with(Some(&pool)).reducer, 610, "{}", s.name());

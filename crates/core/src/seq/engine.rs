@@ -20,6 +20,17 @@ use crate::policy::{GrainController, PolicyKind, SchedConfig};
 use crate::program::{BlockProgram, BucketSet, RunOutput};
 use crate::stats::ExecStats;
 
+/// The strip floor: the engine cuts blocks at `max(t_dfe, STRIP)` tasks.
+/// `t_dfe` is the paper's switch-to-DFE threshold `kQ`, not a block cap,
+/// so a small `t_dfe` must not shrink every superstep with it.
+const STRIP: usize = 1024;
+
+/// The strip size `S` of `cfg`: the root is strip-mined into `S`-task
+/// strips and no block of `2·S` tasks or more runs whole.
+fn strip_size(cfg: &SchedConfig) -> usize {
+    cfg.t_dfe.max(STRIP)
+}
+
 /// What a single [`SeqScheduler::step`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepEvent {
@@ -86,7 +97,6 @@ pub struct SeqFrontier<S, R> {
     mode: Mode,
     warmed: bool,
     bfe_forced: bool,
-    bfe_burst: usize,
     ctrl: GrainController,
     root_rest: Option<S>,
     red: R,
@@ -130,8 +140,6 @@ pub struct SeqScheduler<'p, P: BlockProgram> {
     /// Restart: executing the top block in (forced) BFE mode after a scan
     /// found no `t_restart`-sized work.
     bfe_forced: bool,
-    /// Consecutive forced-BFE actions taken in the current burst.
-    bfe_burst: usize,
     /// Adaptive: the live grain. It only ever grows — `Q, 2Q, …` up to the
     /// cap — which makes the policy fully deterministic (and therefore
     /// park/resume-exact).
@@ -146,11 +154,11 @@ pub struct SeqScheduler<'p, P: BlockProgram> {
 
 impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
     /// Set up a scheduler for `prog`; the root block is strip-mined to
-    /// `cfg.t_dfe` tasks per strip if the program's data-parallel outer
-    /// loop makes it larger (§5.3).
+    /// `max(cfg.t_dfe, 1024)` tasks per strip if the program's
+    /// data-parallel outer loop makes it larger (§5.3).
     pub fn new(prog: &'p P, cfg: SchedConfig) -> Self {
         let mut root = prog.make_root();
-        let strip = Self::take_strip(&mut root, cfg.t_dfe);
+        let strip = Self::take_strip(&mut root, strip_size(&cfg));
         SeqScheduler {
             prog,
             cfg,
@@ -159,7 +167,6 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
             mode: Mode::Bfe,
             warmed: false,
             bfe_forced: false,
-            bfe_burst: 0,
             ctrl: GrainController::for_config(&cfg),
             root_rest: if root.is_empty() { None } else { Some(root) },
             out: BucketSet::new(prog.arity()),
@@ -183,7 +190,6 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
             mode: self.mode,
             warmed: self.warmed,
             bfe_forced: self.bfe_forced,
-            bfe_burst: self.bfe_burst,
             ctrl: self.ctrl,
             root_rest: self.root_rest,
             red: self.red,
@@ -214,7 +220,6 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
             mode: frontier.mode,
             warmed: frontier.warmed,
             bfe_forced: frontier.bfe_forced,
-            bfe_burst: frontier.bfe_burst,
             ctrl: frontier.ctrl,
             root_rest: frontier.root_rest,
             out: BucketSet::new(prog.arity()),
@@ -271,7 +276,6 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
             mode: self.mode,
             warmed: self.warmed,
             bfe_forced: false,
-            bfe_burst: 0,
             ctrl: self.ctrl.clone(),
             root_rest,
             red: self.prog.make_reducer(),
@@ -407,18 +411,12 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
                         Action::Bfe
                     }
                 } else if self.bfe_forced {
-                    if len >= self.cfg.t_restart
-                        || (self.cfg.restart_bfe_burst > 0 && self.bfe_burst >= self.cfg.restart_bfe_burst)
-                    {
+                    // Forced BFE regrows the top block until it reaches
+                    // `t_restart`, then goes depth-first.
+                    if len >= self.cfg.t_restart {
                         self.bfe_forced = false;
-                        self.bfe_burst = 0;
-                        if len >= self.cfg.t_restart {
-                            Action::Dfe
-                        } else {
-                            Action::Restart
-                        }
+                        Action::Dfe
                     } else {
-                        self.bfe_burst += 1;
                         Action::Bfe
                     }
                 } else if len >= self.cfg.t_restart {
@@ -488,12 +486,13 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
         // hand back `(arity - 1) x` the block that made them, and running
         // that whole multiplies the next level's leftover again — the
         // deque then grows geometrically with depth. Strip-mine such a
-        // block like an oversized root (§5.3): run its last `t_dfe` tasks
+        // block like an oversized root (§5.3): run its last `S` tasks
         // (taking the tail copies only the strip), park the rest here.
-        // Below `2 x t_dfe` a block runs whole, so no strip leaves a
-        // sliver behind.
-        if cur.len() >= 2 * self.cfg.t_dfe {
-            let strip = cur.store.split_off(cur.len() - self.cfg.t_dfe);
+        // Below `2 x S` a block runs whole, so no strip leaves a sliver
+        // behind.
+        let s = strip_size(&self.cfg);
+        if cur.len() >= 2 * s {
+            let strip = cur.store.split_off(cur.len() - s);
             if self.deque.push_dfe(std::mem::replace(&mut cur, TaskBlock::new(level, strip))) {
                 self.stats.merges += 1;
             }
@@ -578,7 +577,6 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
                     }
                     RestartFind::Top(b) => {
                         self.bfe_forced = true;
-                        self.bfe_burst = 0;
                         self.current = Some(b);
                         return StepEvent::AcquiredTop;
                     }
@@ -587,7 +585,7 @@ impl<'p, P: BlockProgram> SeqScheduler<'p, P> {
             }
         }
         if let Some(mut rest) = self.root_rest.take() {
-            let strip = Self::take_strip(&mut rest, self.cfg.t_dfe);
+            let strip = Self::take_strip(&mut rest, strip_size(&self.cfg));
             if !rest.is_empty() {
                 self.root_rest = Some(rest);
             }
@@ -854,14 +852,34 @@ mod tests {
 
     #[test]
     fn oversized_roots_are_strip_mined() {
-        // 1000 roots of fib(6)=8 with t_dfe=64: needs 16 strips.
-        let prog = ManyRoots(1000);
+        // 5000 roots of fib(6)=8 with t_dfe=64: strips of 1024 roots, so
+        // five strips.
+        let prog = ManyRoots(5000);
         for cfg in
             [SchedConfig::basic(4, 64), SchedConfig::reexpansion(4, 64), SchedConfig::restart(4, 64, 16)]
         {
             let out = SeqScheduler::new(&prog, cfg).run();
-            assert_eq!(out.reducer, 8 * 1000, "{:?}", cfg.policy);
+            assert_eq!(out.reducer, 8 * 5000, "{:?}", cfg.policy);
         }
+    }
+
+    #[test]
+    fn strips_follow_t_dfe_above_the_floor() {
+        // t_dfe = 4096 is above the 1024-task floor, so it is the strip.
+        let prog = ManyRoots(10_000);
+        let mut s = SeqScheduler::new(&prog, SchedConfig::basic(4, 4096));
+        let mut root_blocks = Vec::new();
+        loop {
+            match s.step() {
+                StepEvent::Dfe { level: 0, tasks } | StepEvent::Bfe { level: 0, tasks } => {
+                    root_blocks.push(tasks)
+                }
+                StepEvent::Done => break,
+                _ => {}
+            }
+        }
+        assert_eq!(root_blocks, [4096, 4096, 10_000 - 2 * 4096]);
+        assert_eq!(s.into_output().reducer, 8 * 10_000);
     }
 
     #[test]
@@ -919,11 +937,33 @@ mod tests {
     }
 
     #[test]
-    fn restart_bfe_burst_limits_forced_expansion() {
-        let mut cfg = SchedConfig::restart(4, 64, 64);
-        cfg.restart_bfe_burst = 2;
-        let out = SeqScheduler::new(&Fib(18), cfg).run();
-        assert_eq!(out.reducer, fib_ref(18), "bounded bursts still complete");
+    fn forced_bfe_runs_until_t_restart() {
+        // After a scan finds no `t_restart`-sized block, the top block runs
+        // breadth-first until it holds `t_restart` tasks. So past the
+        // warm-up every BFE is such a forced step and every DFE block is
+        // full, and a forced step's child is never parked.
+        let t = 64;
+        let mut s = SeqScheduler::new(&Fib(18), SchedConfig::restart(4, 64, t));
+        let (mut warmed, mut forced_steps, mut after_forced) = (false, 0, false);
+        loop {
+            let event = s.step();
+            match event {
+                StepEvent::Dfe { tasks, .. } => {
+                    warmed = true;
+                    assert!(tasks >= t, "ran a {tasks}-task block depth-first");
+                }
+                StepEvent::Bfe { tasks, .. } if warmed => {
+                    assert!(tasks < t, "forced BFE on a {tasks}-task block");
+                    forced_steps += 1;
+                }
+                StepEvent::Restart { .. } => assert!(!after_forced, "a forced step's child was parked"),
+                StepEvent::Done => break,
+                _ => {}
+            }
+            after_forced = warmed && matches!(event, StepEvent::Bfe { .. });
+        }
+        assert!(forced_steps > 0, "fib(18) at t_restart = {t} forces some BFE");
+        assert_eq!(s.into_output().reducer, fib_ref(18));
     }
 
     #[test]
@@ -1002,17 +1042,17 @@ mod tests {
     #[test]
     fn strip_mined_roots_survive_parking() {
         // The root remainder is part of the frontier: park after the first
-        // strip and the remaining 900+ roots must still be executed.
+        // strip and the remaining 3900+ roots must still be executed.
         let cfg = SchedConfig::restart(4, 64, 16);
-        let prog = ManyRoots(1000);
+        let prog = ManyRoots(5000);
         let mut eng = SeqScheduler::new(&prog, cfg);
         for _ in 0..3 {
             assert_ne!(eng.step(), StepEvent::Done);
         }
         let frontier = eng.park();
-        assert!(frontier.tasks() >= 900, "root remainder must be counted in the frontier");
+        assert!(frontier.tasks() >= 3900, "root remainder must be counted in the frontier");
         let out = SeqScheduler::resume(&prog, frontier).run();
-        assert_eq!(out.reducer, 8 * 1000);
+        assert_eq!(out.reducer, 8 * 5000);
     }
 
     #[test]

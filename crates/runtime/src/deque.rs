@@ -1,6 +1,6 @@
 //! Hand-rolled lock-free work-stealing structures: a Chase–Lev deque for
 //! the per-worker job queues. (The pool's injector lives in
-//! [`crate::injector`] — since PR 3 a segmented unbounded MPMC queue.)
+//! [`crate::injector`]: a locked queue that idle workers also sleep on.)
 //!
 //! Until PR 2 the pool ran on the `crossbeam-deque` shim, which guards a
 //! `VecDeque` with a mutex — one lock acquisition per push/pop/steal. That

@@ -5,8 +5,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tb_core::{
-    drive, BlockProgram, CancelToken, Outcome, PolicyKind, SchedConfig, SchedulerKind, Seam, SeqFrontier,
-    SeqScheduler,
+    drive, BlockProgram, CancelToken, Outcome, SchedConfig, SchedulerKind, Seam, SeqFrontier, SeqScheduler,
 };
 use tb_obs::EventKind;
 use tb_runtime::{InjectorMetrics, ThreadPool, WorkerCtx};
@@ -348,10 +347,7 @@ impl Runtime {
     /// up, under `cfg`'s policy, and stops at its next superstep once its
     /// handle is cancelled. `kind` says whether it may split:
     /// [`SchedulerKind::Seq`] never splits; [`SchedulerKind::Par`] splits
-    /// half its pending work off whenever another worker is hungry;
-    /// [`SchedulerKind::RestartIdeal`] is `Par` under the restart policy
-    /// (the §3.4 reference scheduler's dedicated threads are a library
-    /// tool, not a service path).
+    /// half its pending work off whenever another worker is hungry.
     ///
     /// # Panics
     /// If `tenant` was never registered.
@@ -582,11 +578,7 @@ impl Runtime {
         P: BlockProgram + Send + 'static,
         P::Reducer: Send + 'static,
     {
-        let (cfg, split) = match kind {
-            SchedulerKind::Seq => (cfg, false),
-            SchedulerKind::Par => (cfg, true),
-            SchedulerKind::RestartIdeal => (cfg.with_policy(PolicyKind::Restart), true),
-        };
+        let split = kind == SchedulerKind::Par;
         let core = Arc::new(JobCore::new());
         let worker_core = Arc::clone(&core);
         let job = Job {

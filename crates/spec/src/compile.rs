@@ -955,10 +955,8 @@ mod tests {
         let want = interpret(&spec, &[18, 7]);
         let prog = CompiledSpec::new(&spec, vec![18, 7]).unwrap();
         let pool = tb_runtime::ThreadPool::new(3);
-        for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
-            let out = run_scheduler(kind, &prog, SchedConfig::restart(8, 256, 64), Some(&pool));
-            assert_eq!(out.reducer, want, "{kind:?}");
-        }
+        let out = run_scheduler(SchedulerKind::Par, &prog, SchedConfig::restart(8, 256, 64), Some(&pool));
+        assert_eq!(out.reducer, want);
     }
 
     #[test]

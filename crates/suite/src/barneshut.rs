@@ -460,9 +460,7 @@ mod tests {
         for tier in [Tier::Block, Tier::Soa, Tier::Simd] {
             let cfg = SchedConfig::restart(Q, 256, 64);
             assert!(bh.blocked_seq(cfg, tier).outcome.matches(&want, tol), "{tier:?}");
-            for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
-                assert!(bh.blocked_par(&pool, cfg, kind, tier).outcome.matches(&want, tol), "{kind:?}");
-            }
+            assert!(bh.blocked_par(&pool, cfg, SchedulerKind::Par, tier).outcome.matches(&want, tol));
         }
     }
 

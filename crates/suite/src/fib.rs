@@ -203,9 +203,7 @@ mod tests {
         for tier in [Tier::Block, Tier::Soa, Tier::Simd] {
             for cfg in [SchedConfig::reexpansion(Q, 256), SchedConfig::restart(Q, 256, 64)] {
                 assert_eq!(b.blocked_seq(cfg, tier).outcome, want, "{tier:?} {:?}", cfg.policy);
-                for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
-                    assert_eq!(b.blocked_par(&pool, cfg, kind, tier).outcome, want, "{tier:?} {kind:?}");
-                }
+                assert_eq!(b.blocked_par(&pool, cfg, SchedulerKind::Par, tier).outcome, want, "{tier:?}");
             }
         }
     }

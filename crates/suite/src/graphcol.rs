@@ -241,9 +241,7 @@ mod tests {
         for tier in [Tier::Block, Tier::Soa] {
             let cfg = SchedConfig::restart(Q, 128, 32);
             assert_eq!(b.blocked_seq(cfg, tier).outcome, want);
-            for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
-                assert_eq!(b.blocked_par(&pool, cfg, kind, tier).outcome, want, "{kind:?}");
-            }
+            assert_eq!(b.blocked_par(&pool, cfg, SchedulerKind::Par, tier).outcome, want);
         }
     }
 

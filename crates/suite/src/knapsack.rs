@@ -315,7 +315,6 @@ mod tests {
             let cfg = SchedConfig::restart(Q, 64, 16);
             assert_eq!(k.blocked_seq(cfg, tier).outcome, want, "{tier:?}");
             assert_eq!(k.blocked_par(&pool, cfg, SchedulerKind::Par, tier).outcome, want);
-            assert_eq!(k.blocked_par(&pool, cfg, SchedulerKind::RestartIdeal, tier).outcome, want);
         }
     }
 

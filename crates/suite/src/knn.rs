@@ -419,9 +419,7 @@ mod tests {
         for tier in [Tier::Block, Tier::Soa, Tier::Simd] {
             let cfg = SchedConfig::restart(Q, 256, 64);
             assert!(knn.blocked_seq(cfg, tier).outcome.matches(&want, tol), "{tier:?}");
-            for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
-                assert!(knn.blocked_par(&pool, cfg, kind, tier).outcome.matches(&want, tol), "{kind:?}");
-            }
+            assert!(knn.blocked_par(&pool, cfg, SchedulerKind::Par, tier).outcome.matches(&want, tol));
         }
     }
 }

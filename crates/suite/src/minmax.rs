@@ -324,9 +324,7 @@ mod tests {
         for tier in [Tier::Block, Tier::Soa] {
             let cfg = SchedConfig::reexpansion(Q, 256);
             assert_eq!(mm.blocked_seq(cfg, tier).outcome, want);
-            for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
-                assert_eq!(mm.blocked_par(&pool, cfg, kind, tier).outcome, want, "{kind:?}");
-            }
+            assert_eq!(mm.blocked_par(&pool, cfg, SchedulerKind::Par, tier).outcome, want);
         }
     }
 

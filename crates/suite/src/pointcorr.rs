@@ -323,9 +323,7 @@ mod tests {
         for tier in [Tier::Block, Tier::Soa, Tier::Simd] {
             let cfg = SchedConfig::restart(Q, 256, 64);
             assert_eq!(pc.blocked_seq(cfg, tier).outcome, want, "{tier:?}");
-            for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
-                assert_eq!(pc.blocked_par(&pool, cfg, kind, tier).outcome, want, "{kind:?}");
-            }
+            assert_eq!(pc.blocked_par(&pool, cfg, SchedulerKind::Par, tier).outcome, want);
         }
     }
 

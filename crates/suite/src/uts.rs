@@ -44,7 +44,7 @@ impl Uts {
     /// lottery around `b0 / (1 - m·q)`; these seeds were chosen to land in
     /// the documented ranges (tiny ≈ 100 nodes / depth 13, small ≈ 220 K /
     /// depth 320, paper ≈ 1.4 M / depth 1050 — smaller than the paper's
-    /// 19.9 M but with the same deep-spindly shape; see EXPERIMENTS.md).
+    /// 19.9 M but with the same deep-spindly shape).
     pub fn new(scale: Scale) -> Self {
         match scale {
             Scale::Tiny => Uts { b0: 16, m: 4, q: 0.24, seed: 19 },
@@ -205,9 +205,7 @@ mod tests {
         assert_eq!(u.cilk(&pool).outcome, want);
         for cfg in [SchedConfig::reexpansion(Q, 128), SchedConfig::restart(Q, 128, 16)] {
             assert_eq!(u.blocked_seq(cfg, Tier::Block).outcome, want);
-            for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
-                assert_eq!(u.blocked_par(&pool, cfg, kind, Tier::Block).outcome, want, "{kind:?}");
-            }
+            assert_eq!(u.blocked_par(&pool, cfg, SchedulerKind::Par, Tier::Block).outcome, want);
         }
     }
 

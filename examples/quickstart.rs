@@ -75,8 +75,8 @@ fn main() {
     show("re-expansion", run_policy(&prog, SchedConfig::reexpansion(q, block), None));
     show("restart", run_policy(&prog, SchedConfig::restart(q, block, 64), None));
 
-    // Parallel: the same entry point with a pool picks the policy's
-    // multicore scheduler; run_scheduler selects an implementation by hand.
+    // Parallel: the same entry point with a pool runs the same policy on
+    // the pool, split across workers whenever one is hungry.
     let workers = std::thread::available_parallelism().map_or(2, usize::from);
     let pool = ThreadPool::new(workers);
     show(
@@ -86,10 +86,6 @@ fn main() {
     show(
         &format!("par restart ({workers}w)"),
         run_policy(&prog, SchedConfig::restart(q, block, 64), Some(&pool)),
-    );
-    show(
-        &format!("ideal restart ({workers}w)"),
-        run_scheduler(SchedulerKind::RestartIdeal, &prog, SchedConfig::restart(q, block, 64), Some(&pool)),
     );
 
     println!(

@@ -28,12 +28,11 @@ fn main() {
     let workers = std::thread::available_parallelism().map_or(2, usize::from);
     let pool = ThreadPool::new(workers);
     println!("{:<30} {:>10} {:>10} {:>9} {:>8}", "scheduler", "wall", "util%", "restarts", "steals");
-    for (name, kind, cfg) in [
-        ("par re-expansion", SchedulerKind::Par, SchedConfig::reexpansion(4, 1 << 11)),
-        ("par restart (split on demand)", SchedulerKind::Par, SchedConfig::restart(4, 1 << 11, 1 << 8)),
-        ("par restart (ideal)", SchedulerKind::RestartIdeal, SchedConfig::restart(4, 1 << 11, 1 << 8)),
+    for (name, cfg) in [
+        ("par re-expansion", SchedConfig::reexpansion(4, 1 << 11)),
+        ("par restart (split on demand)", SchedConfig::restart(4, 1 << 11, 1 << 8)),
     ] {
-        let out = u.blocked_par(&pool, cfg, kind, Tier::Block);
+        let out = u.blocked_par(&pool, cfg, SchedulerKind::Par, Tier::Block);
         assert_eq!(out.outcome, serial.outcome, "{name}");
         println!(
             "{:<30} {:>10} {:>10.1} {:>9} {:>8}",

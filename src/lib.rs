@@ -66,9 +66,9 @@
 //! let par = run_policy(&Fib, cfg, Some(&pool));
 //! assert_eq!(par.reducer, 75_025);
 //!
-//! // Or pick a scheduler implementation explicitly:
-//! let ideal = run_scheduler(SchedulerKind::RestartIdeal, &Fib, cfg, Some(&pool));
-//! assert_eq!(ideal.reducer, 75_025);
+//! // Or name the scheduler implementation explicitly:
+//! let seq = run_scheduler(SchedulerKind::Seq, &Fib, cfg, None);
+//! assert_eq!(seq.stats.supersteps, out.stats.supersteps);
 //! ```
 
 pub use tb_core as core;

@@ -1,8 +1,11 @@
 //! Property-based tests of the framework's core invariants, driven over
 //! randomly generated computation trees (the §4 model objects).
 
+mod common;
+
+use common::KeepThievesHungry;
 use proptest::prelude::*;
-use taskblocks::model::{CompTree, TreeWalk};
+use taskblocks::model::{optimal_bound, CompTree, TreeWalk};
 use taskblocks::prelude::*;
 
 /// Strategy: a random computation tree with its shape knobs.
@@ -92,15 +95,16 @@ proptest! {
             "deque {} > bound {}", out.stats.max_deque_tasks, cap);
     }
 
-    /// The parallel schedulers compute what the sequential one computes,
-    /// on arbitrary trees and worker counts.
+    /// The pool scheduler computes what the sequential one computes, on
+    /// arbitrary trees and worker counts.
     #[test]
     fn parallel_equals_sequential(tree in arb_tree(), workers in 1usize..5) {
         let cfg = SchedConfig::restart(4, 32, 16);
         let seq = run_policy(&TreeWalk::new(&tree), cfg, None);
-        let ideal = run_scheduler_on(SchedulerKind::RestartIdeal, &TreeWalk::new(&tree), cfg, workers);
-        prop_assert_eq!(seq.reducer.count, ideal.reducer.count);
-        prop_assert_eq!(ideal.stats.tasks_executed, tree.len() as u64);
+        let pool = ThreadPool::new(workers);
+        let par = run_scheduler(SchedulerKind::Par, &TreeWalk::new(&tree), cfg, Some(&pool));
+        prop_assert_eq!(seq.reducer.count, par.reducer.count);
+        prop_assert_eq!(par.stats.tasks_executed, tree.len() as u64);
     }
 }
 
@@ -116,5 +120,50 @@ proptest! {
         let walk = TreeWalk::recording(&tree);
         let out = run_policy(&walk, cfg, Some(&pool));
         out.reducer.assert_exactly_once(&tree);
+    }
+}
+
+/// Lemma 7's analogue for the scheduler that runs, `ParSplit` under restart
+/// at `t_dfe = t_restart = kQ`: splits play the steals' part. Both bounds
+/// are counts, not times, so they can be checked on any host.
+///
+/// * `splits ≤ k·P·h` — Lemma 7's `E[S] = O(kPh)` with constant 1, a
+///   measured bound (the runs stay well under it), not a derived one.
+/// * `simd_steps ≤ c·(optimal_bound + splits·h)` with `c = 1 + 1/k`:
+///   - at most one incomplete step per superstep (Claim 1), and at most
+///     `n/Q` complete ones, so `simd_steps ≤ n/Q + supersteps`;
+///   - a superstep of at least `t_restart = kQ` tasks happens at most
+///     `n/(kQ)` times;
+///   - a block below `t_restart` runs only breadth-first (the warm-up
+///     ramp, or a forced burst after a failed scan). Each such step takes
+///     the block one level down and absorbs that level's parked blocks,
+///     and what is parked afterwards lies below the level the ramp or
+///     burst ended at. So each engine runs at most `h` of them, and a run
+///     has `splits + 1` engines;
+///   - hence `simd_steps ≤ n/Q + n/(kQ) + (splits + 1)·h
+///     ≤ (1 + 1/k)·(n/Q + h + splits·h)`.
+#[test]
+fn split_restart_keeps_lemma_7() {
+    const Q: usize = 8;
+    for seed in [3u64, 11] {
+        let tree = CompTree::random_binary(100_000, 0.75, seed);
+        let (n, h) = (tree.len() as f64, tree.height() as f64);
+        for p in [2usize, 4] {
+            let pool = ThreadPool::new(p);
+            for k in [2usize, 16] {
+                let what = format!("seed {seed}, P = {p}, k = {k}");
+                let walk = KeepThievesHungry::new(TreeWalk::new(&tree));
+                let out = run_policy(&walk, SchedConfig::restart(Q, k * Q, k * Q), Some(&pool));
+                assert_eq!(out.stats.tasks_executed, tree.len() as u64, "{what}");
+                let splits = out.stats.splits as f64;
+                assert!(splits >= 1.0, "{what}: workers sat hungry and the run never split");
+                let kph = (k * p) as f64 * h;
+                assert!(splits <= kph, "{what}: {splits} splits > kPh = {kph}");
+                let c = 1.0 + 1.0 / k as f64;
+                let bound = c * (optimal_bound(n, h, Q as f64) + splits * h);
+                let steps = out.stats.simd_steps as f64;
+                assert!(steps <= bound, "{what}: {steps} SIMD steps > {c}·(opt + splits·h) = {bound:.0}");
+            }
+        }
     }
 }

@@ -6,8 +6,8 @@
 use taskblocks::prelude::*;
 use taskblocks::suite::{all_benchmarks, benchmark_by_name, Scale, SchedulerKind, Tier};
 
-/// The satellite matrix: all three schedulers return identical reducers
-/// on fib, nqueens and uts, for every policy family, on 1/2/4 threads.
+/// The satellite matrix: both schedulers return identical reducers on
+/// fib, nqueens and uts, for every policy family, on 1/2/4 threads.
 /// (Named when the pool ran five scheduler types; the policy × scheduler
 /// cells it covers are the same.)
 #[test]
@@ -27,20 +27,14 @@ fn five_schedulers_agree_on_fib_nqueens_uts_across_policies_and_threads() {
             // The sequential engine honours the policy exactly...
             let seq = b.blocked_seq(cfg, Tier::Block);
             assert_eq!(seq.outcome, reference, "{name}: seq under {policy:?} disagrees with serial");
-            // ...so does the pool scheduler, and the §3.4 reference (which
-            // coerces every policy to restart) must still produce the
-            // identical reducer, at every worker count.
+            // ...and so does the pool scheduler, at every worker count.
             for threads in [1usize, 2, 4] {
                 let pool = ThreadPool::new(threads);
-                for kind in [SchedulerKind::Par, SchedulerKind::RestartIdeal] {
-                    let got = b.blocked_par(&pool, cfg, kind, Tier::Block);
-                    assert_eq!(
-                        got.outcome,
-                        reference,
-                        "{name}: {} under {policy:?} on {threads} threads disagrees",
-                        kind.name()
-                    );
-                }
+                let got = b.blocked_par(&pool, cfg, SchedulerKind::Par, Tier::Block);
+                assert_eq!(
+                    got.outcome, reference,
+                    "{name}: par under {policy:?} on {threads} threads disagrees"
+                );
             }
         }
     }
@@ -55,21 +49,17 @@ fn every_benchmark_agrees_across_all_schedulers_and_tiers() {
         assert!(b.cilk(&pool).outcome.matches(&want, tol), "{}: cilk variant disagrees", b.name());
         for (t_dfe, t_r) in [(64usize, 16usize), (1 << 12, 1 << 8)] {
             for tier in [Tier::Block, Tier::Soa, Tier::Simd] {
-                let restart = SchedConfig::restart(b.q(), t_dfe, t_r);
                 let configs = [
                     SchedConfig::basic(b.q(), t_dfe),
                     SchedConfig::reexpansion(b.q(), t_dfe),
-                    restart,
+                    SchedConfig::restart(b.q(), t_dfe, t_r),
                     SchedConfig::adaptive(b.q()),
                 ];
-                let runs = configs
-                    .iter()
-                    .flat_map(|&cfg| [(SchedulerKind::Seq, cfg), (SchedulerKind::Par, cfg)])
-                    .chain([(SchedulerKind::RestartIdeal, restart)]);
+                let runs = configs.iter().flat_map(|&cfg| SchedulerKind::ALL.map(|kind| (kind, cfg)));
                 for (kind, cfg) in runs {
                     let got = match kind {
                         SchedulerKind::Seq => b.blocked_seq(cfg, tier),
-                        _ => b.blocked_par(&pool, cfg, kind, tier),
+                        SchedulerKind::Par => b.blocked_par(&pool, cfg, kind, tier),
                     };
                     assert!(
                         got.outcome.matches(&want, tol),

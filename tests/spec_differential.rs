@@ -3,8 +3,8 @@
 //! construction), executed through all three routes — the recursive
 //! reference interpreter, the instruction-stream `CompiledSpec` and the
 //! masked-lane `VectorSpec` (exercised at every monomorphized width
-//! 2/4/8, not just the host's detected one) — under every policy and all
-//! three schedulers at 1/2/4 workers. Every route must produce the identical (wrapping-`i64`)
+//! 2/4/8, not just the host's detected one) — under every policy and both
+//! schedulers at 1/2/4 workers. Every route must produce the identical (wrapping-`i64`)
 //! reduction, and the compiled tiers must expand the identical computation
 //! tree (same task count, same supersteps), not merely agree on the
 //! answer.
@@ -19,8 +19,8 @@ use taskblocks::spec::{interpret, CompiledSpec, VectorSpec};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// interpreter == CompiledSpec == VectorSpec, every policy under all
-    /// three schedulers, 1/2/4 workers, with thresholds small enough to exercise restart
+    /// interpreter == CompiledSpec == VectorSpec, every policy under both
+    /// schedulers, 1/2/4 workers, with thresholds small enough to exercise restart
     /// parking and strip mining (and, for the vector tier, ragged remainder
     /// peels at every width).
     #[test]

@@ -178,7 +178,7 @@ fn traced_runs_reconcile_with_scheduler_counters() {
     let a0 = pool.metrics();
     let _ = tb_obs::drain_all(); // window starts here: idle sweeps before this are out
     let a1 = pool.metrics();
-    let out = run_scheduler(SchedulerKind::RestartIdeal, &Fib(22), cfg, Some(&pool));
+    let out = run_scheduler(SchedulerKind::Par, &Fib(22), cfg, Some(&pool));
     assert_eq!(out.reducer, 17_711);
     let b0 = pool.metrics();
     let tracks = tb_obs::drain_all();
@@ -196,11 +196,11 @@ fn traced_runs_reconcile_with_scheduler_counters() {
     );
     assert_eq!(count(&tracks, EventKind::InjectorPush), delta.injector_pushes);
     assert_eq!(sum_args(&tracks, EventKind::Superstep), out.stats.tasks_executed);
-    assert!(out.stats.restart_actions > 0, "the §3.4 scheduler parks underfull blocks too");
+    assert!(out.stats.restart_actions > 0, "the pool's engines park underfull blocks too");
     assert_eq!(
         count(&tracks, EventKind::Restart),
         out.stats.restart_actions,
-        "RestartIdeal: one Restart per restart action, as on the engine"
+        "par: one Restart per restart action, as on the engine"
     );
     // Bracketed, not slack-matched — see the module docs for the bound.
     let attempts = count(&tracks, EventKind::StealAttempt);
