@@ -79,7 +79,7 @@ fn small_t_dfe_runs_in_s_task_strips_and_no_block_reaches_two_strips() {
         }
         assert_eq!(root_blocks, [S, S, S, S, 5_000 - 4 * S], "{what}: the root runs in S-task strips");
         assert!(largest < 2 * S, "{what}: a {largest}-task block ran");
-        assert!(largest >= 2 * cfg.t_dfe, "{what}: blocks are no longer capped at 2·t_dfe");
+        assert!(largest >= 2 * cfg.t_dfe, "{what}: no block grew past 2·t_dfe, so the floor never applied");
         assert_eq!(engine.into_output().reducer, 5_000 * 27, "{what}");
     }
 }
