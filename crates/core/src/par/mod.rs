@@ -10,6 +10,8 @@
 //! embeddings, Fig. 3(a) and 3(c), and the §3.4 restart scheduler on
 //! dedicated threads; see DESIGN.md §2.1 and §13.)
 
+#[cfg(test)]
+mod restart_ideal;
 mod split;
 
 pub use split::{drive, Outcome, ParSplit, Seam};

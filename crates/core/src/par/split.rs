@@ -174,11 +174,11 @@ impl<P: BlockProgram> crate::scheduler::Scheduler<P> for ParSplit<'_, P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::program::BucketSet;
 
-    struct Fib(u32);
+    pub(in crate::par) struct Fib(pub(in crate::par) u32);
 
     impl BlockProgram for Fib {
         type Store = Vec<u32>;
